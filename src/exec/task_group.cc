@@ -15,12 +15,16 @@ void TaskGroup::Submit(std::function<void(int)> fn) {
 }
 
 void TaskGroup::OnTaskDone() {
+  // The decrement may let a waiter return from Wait() and destroy this
+  // group (typically a stack object), so nothing of `this` may be touched
+  // after it: read pool_ first. The pool outlives every group on it.
+  ThreadPool* pool = pool_;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
   // Every completion (not just the last) wakes sleepers: an ordered-reduce
   // consumer may be waiting on one specific block's flag, and a nested
   // waiter may now find a newly stealable task. Tasks are coarse, so one
   // notify per completion is cheap.
-  pool_->NotifyStateChange();
+  pool->NotifyStateChange();
 }
 
 void TaskGroup::Wait() {

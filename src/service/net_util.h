@@ -26,7 +26,7 @@ inline std::string ErrnoResult(const char* message, const char* /*buf*/,
 
 /// Thread-safe strerror(err): the plain strerror writes into shared static
 /// storage (clang-tidy concurrency-mt-unsafe), and error paths here run on
-/// listener/reader/executor threads concurrently.
+/// listener, reader and pool threads concurrently.
 inline std::string ErrnoString(int err) {
   char buf[256];
   buf[0] = '\0';

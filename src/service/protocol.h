@@ -26,7 +26,7 @@ enum ServiceCode {
                                // request was shed from the wait list because
                                // its deadline could no longer be met.
   kCodeDeadlineExceeded = 504, // Deadline elapsed while queued (the request
-                               // reached an executor, too late to run).
+                               // started running, too late to run).
   kCodeInternal = 500,         // Library-level failure.
 };
 
@@ -41,11 +41,11 @@ inline constexpr char kDiscover[] = "discover"; // Run OFD discovery.
 inline constexpr char kClean[] = "clean";       // Run OFDClean (read-only).
 inline constexpr char kUpdate[] = "update";     // Apply cell updates online.
 inline constexpr char kStats[] = "stats";       // Metrics + latency quantiles.
-inline constexpr char kSleep[] = "sleep";       // Debug: hold the executor.
+inline constexpr char kSleep[] = "sleep";       // Debug: hold the session.
 inline constexpr char kShutdown[] = "shutdown"; // Begin graceful drain.
 }  // namespace ops
 
-/// True for ops the sharded executor may run as concurrent snapshot reads:
+/// True for ops the server may run as concurrent snapshot reads:
 /// they never mutate the named session, so any number of them can run
 /// against its quiescent state while writers are excluded. Everything else
 /// (including sessionless ops like `list`, which serialize on the "" key)

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -50,16 +49,10 @@ Json ErrResponse(const Json& request, int code, const std::string& message) {
   return response;
 }
 
-int ResolveShardCount(int configured) {
-  if (configured > 0) return configured;
-  int hw = ThreadPool::DefaultThreads();
-  return std::min(std::max(1, hw / 2), 8);
-}
-
 /// Deep invariant audit (common/audit.h) for the seqlock snapshot protocol:
 /// a read must run entirely against a quiescent session — version even at
 /// entry and unchanged at exit (writers hold the session exclusively and
-/// drain readers first, so any motion here is a shard-accounting bug).
+/// drain readers first, so any motion here is a scheduler bug).
 [[maybe_unused]] Status AuditSnapshotStable(const Session& session,
                                             uint64_t entry_version) {
   auto fail = [](const std::string& message) {
@@ -80,46 +73,16 @@ int ResolveShardCount(int configured) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Routing.
-
-size_t ServiceServer::ShardOf(const std::string& session, size_t shard_count) {
-  // FNV-1a, 64-bit: a stable hash (not std::hash, which may vary across
-  // implementations) so session -> shard routing is deterministic for tests
-  // and reproducible across runs.
-  uint64_t h = 14695981039346656037ull;
-  for (char c : session) {
-    h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ull;
-  }
-  return shard_count <= 1 ? 0 : static_cast<size_t>(h % shard_count);
-}
-
-// ---------------------------------------------------------------------------
 // Lifecycle.
 
 ServiceServer::ServiceServer(ServerConfig config, MetricsRegistry* metrics)
     : config_(std::move(config)),
       metrics_(metrics),
-      pool_(config_.threads),
-      reads_group_(&pool_) {
-  const int num_shards = ResolveShardCount(config_.shards);
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    const std::string prefix = "serve.shard." + std::to_string(i);
-    shard->depth_gauge = prefix + ".depth";
-    shard->parked_gauge = prefix + ".parked";
-    shard->stolen_counter = prefix + ".stolen";
-    shard->executed_counter = prefix + ".executed";
-    metrics_->Set(shard->depth_gauge, 0);
-    metrics_->Set(shard->parked_gauge, 0);
-    metrics_->Add(shard->stolen_counter, 0);
-    metrics_->Add(shard->executed_counter, 0);
-    shards_.push_back(std::move(shard));
-  }
+      pool_(std::max(2, config_.threads)),
+      mutating_slots_(std::max(1, pool_.num_threads() / 2)),
+      group_(&pool_) {
   // Register the fleet-facing counters at zero so the first `stats` or
   // metrics flush shows them even before traffic arrives.
-  metrics_->Set("serve.shards", static_cast<double>(num_shards));
   metrics_->Add("serve.rejected", 0);
   metrics_->Add("serve.shed", 0);
   metrics_->Add("serve.snapshot_reads", 0);
@@ -183,10 +146,6 @@ Status ServiceServer::Start() {
     return Status::Error("listen: " + ErrnoString(errno));
   }
   listener_ = std::thread([this] { ListenerLoop(); });
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->executor =
-        std::thread([this, i] { ExecutorLoop(static_cast<int>(i)); });
-  }
   started_ = true;
   return Status::Ok();
 }
@@ -201,14 +160,15 @@ void ServiceServer::NotifyShutdown() {
 void ServiceServer::Wait() {
   if (!started_ || joined_) return;
   if (listener_.joinable()) listener_.join();
-  // Listener closed every shard; each executor finishes every queued and
-  // parked request (parked entries are promoted or shed, never dropped).
-  for (auto& shard : shards_) {
-    if (shard->executor.joinable()) shard->executor.join();
+  // The listener closed admission; every queued and parked request still
+  // runs (or is shed by deadline) before connections close.
+  {
+    MutexLock lock(sched_mu_);
+    while (!mailboxes_.empty() || !parked_.empty()) idle_cv_.Wait(sched_mu_);
   }
-  // Snapshot reads dispatched by the executors may still be in flight on
-  // the pool; their responses must go out before connections close.
-  reads_group_.Wait();
+  // The last completions may still be returning from Complete(); they
+  // touch this server until their tasks finish.
+  group_.Wait();
   // All responses are written; now tear down connections.
   {
     MutexLock lock(conns_mu_);
@@ -228,13 +188,9 @@ void ServiceServer::Wait() {
 }
 
 void ServiceServer::BeginDrain() {
-  draining_.store(true);
-  for (auto& shard : shards_) {
-    {
-      MutexLock lock(shard->mu);
-      shard->closed = true;
-    }
-    shard->work_cv.NotifyAll();
+  {
+    MutexLock lock(sched_mu_);
+    closed_ = true;
   }
   if (listen_fd_ != -1) {
     ::close(listen_fd_);
@@ -327,14 +283,14 @@ void ServiceServer::ReaderLoop(std::shared_ptr<Connection> conn,
         request.deadline_seconds = request.enqueue_seconds + deadline_ms / 1e3;
       }
       metrics_->Add("serve.requests." + request.op, 1);
-      // ShardPush only consumes the request on success, so `msg` is still
-      // valid when we build the rejection response below.
+      // Admit only consumes the request on success, so `msg` is still valid
+      // when we build the rejection response below.
       const Json& msg = request.msg;
-      if (!ShardPush(std::move(request))) {
+      if (!Admit(std::move(request))) {
         metrics_->Add("serve.rejected", 1);
         WriteResponse(*conn, ErrResponse(
                                  msg, kCodeOverloaded,
-                                 draining_.load()
+                                 shutdown_requested_.load()
                                      ? "server draining"
                                      : "request queue and wait list full"));
         continue;
@@ -376,291 +332,230 @@ void ServiceServer::WriteResponse(Connection& conn, const Json& response) {
 }
 
 // ---------------------------------------------------------------------------
-// Shards: admission, parking, shedding, eligible pops.
+// Scheduler: admission, mailboxes, mutating slots, parking, shedding.
 
-void ServiceServer::PublishShardGauges(int shard_index, size_t depth,
-                                       size_t parked) {
-  const Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  metrics_->Set(shard.depth_gauge, static_cast<double>(depth));
-  metrics_->Set(shard.parked_gauge, static_cast<double>(parked));
-}
-
-bool ServiceServer::ShardPush(Request&& request) {
-  const size_t index = ShardOf(request.session, shards_.size());
-  Shard& shard = *shards_[index];
+bool ServiceServer::Admit(Request&& request) {
+  std::vector<Batch> work;
   std::vector<Request> shed;
-  bool admitted = false;
-  size_t depth = 0;
-  size_t parked = 0;
+  bool admitted = true;
   {
-    MutexLock lock(shard.mu);
-    if (!shard.closed) {
-      ShedExpiredLocked(shard, &shed);
-      // Queue directly only when nobody is parked ahead of us — otherwise a
-      // newcomer would overtake a parked request of the same session and
-      // break per-session FIFO.
-      if (shard.parked.empty() &&
-          shard.queue.size() < static_cast<size_t>(config_.queue_depth)) {
-        shard.queue.push_back(std::move(request));
-        admitted = true;
-      } else if (shard.parked.size() <
-                 static_cast<size_t>(config_.max_parked)) {
-        shard.parked.push_back(std::move(request));
-        admitted = true;
-      }
+    MutexLock lock(sched_mu_);
+    if (closed_) return false;
+    ShedExpiredLocked(&shed);
+    // Queue directly only when nobody is parked ahead of us — otherwise a
+    // newcomer would overtake a parked request (possibly of its session).
+    if (parked_.empty() && queued_ < static_cast<size_t>(config_.queue_depth)) {
+      EnqueueLocked(std::move(request), &work);
+    } else if (parked_.size() < static_cast<size_t>(config_.max_parked)) {
+      parked_.push_back(std::move(request));
+    } else {
+      admitted = false;
     }
-    depth = shard.queue.size();
-    parked = shard.parked.size();
+    FASTOFD_AUDIT_OK(AuditSchedulerLocked(work));
   }
-  if (admitted) shard.work_cv.NotifyOne();
-  PublishShardGauges(static_cast<int>(index), depth, parked);
-  RespondShed(shed);
+  Flush(shed, work);
   return admitted;
 }
 
-void ServiceServer::ShedExpiredLocked(Shard& shard,
-                                      std::vector<Request>* shed) {
-  if (shard.parked.empty()) return;
+ServiceServer::Batch ServiceServer::Complete(const std::string& session,
+                                             bool is_read) {
+  std::vector<Batch> work;
+  std::vector<Request> shed;
+  bool idle = false;
+  {
+    MutexLock lock(sched_mu_);
+    auto it = mailboxes_.find(session);
+    Mailbox& box = it->second;
+    if (is_read) {
+      --box.readers;
+    } else {
+      box.writer = false;
+      --mutating_;
+      // The freed slot goes to the oldest waiter, ahead of this session's
+      // own next mutation (which lines up behind it below).
+      if (!slot_waiters_.empty()) {
+        Mailbox* next = slot_waiters_.front();
+        slot_waiters_.pop_front();
+        StartWriterLocked(*next, &work);
+      }
+    }
+    PumpLocked(box, &work);
+    if (box.queue.empty() && box.readers == 0 && !box.writer) {
+      mailboxes_.erase(it);
+    }
+    ShedExpiredLocked(&shed);
+    while (!parked_.empty() &&
+           queued_ < static_cast<size_t>(config_.queue_depth)) {
+      Request promoted = std::move(parked_.front());
+      parked_.pop_front();
+      EnqueueLocked(std::move(promoted), &work);
+    }
+    FASTOFD_AUDIT_OK(AuditSchedulerLocked(work));
+    idle = closed_ && mailboxes_.empty() && parked_.empty();
+  }
+  // The caller runs a mutating batch this completion started itself, so a
+  // chain of mutations (back-to-back loads, say) stays on one thread and
+  // its malloc arena. Handing each load to whichever worker wakes first
+  // strands its predecessor's freed load-time memory in another arena and
+  // raises peak RSS by up to one session's load footprint.
+  Batch next;
+  auto writer = std::find_if(work.begin(), work.end(), [](const Batch& b) {
+    return !IsSnapshotReadOp(b.front().op);
+  });
+  if (writer != work.end()) {
+    next = std::move(*writer);
+    work.erase(writer);
+  }
+  Flush(shed, work);
+  if (idle) idle_cv_.NotifyAll();
+  return next;
+}
+
+void ServiceServer::EnqueueLocked(Request&& request, std::vector<Batch>* out) {
+  Mailbox& box = mailboxes_[request.session];
+  box.queue.push_back(std::move(request));
+  ++queued_;
+  PumpLocked(box, out);
+}
+
+void ServiceServer::PumpLocked(Mailbox& box, std::vector<Batch>* out) {
+  if (box.writer || box.awaiting_slot) return;
+  // Reads at the head run concurrently against the quiescent session.
+  while (!box.queue.empty() && IsSnapshotReadOp(box.queue.front().op)) {
+    out->emplace_back();
+    out->back().push_back(std::move(box.queue.front()));
+    box.queue.pop_front();
+    --queued_;
+    ++box.readers;
+  }
+  // A mutation waits until the session's reads drained, then for a slot;
+  // requests behind it wait too (per-session FIFO).
+  if (box.queue.empty() || box.readers > 0) return;
+  if (mutating_ < mutating_slots_ && slot_waiters_.empty()) {
+    StartWriterLocked(box, out);
+  } else {
+    box.awaiting_slot = true;
+    slot_waiters_.push_back(&box);
+  }
+}
+
+void ServiceServer::StartWriterLocked(Mailbox& box, std::vector<Batch>* out) {
+  box.awaiting_slot = false;
+  box.writer = true;
+  ++mutating_;
+  Batch batch;
+  // Micro-batch: coalesce the run of updates at the head, so a burst of
+  // single-cell updates pays one dispatch round trip.
+  do {
+    batch.push_back(std::move(box.queue.front()));
+    box.queue.pop_front();
+  } while (batch.front().op == ops::kUpdate && !box.queue.empty() &&
+           box.queue.front().op == ops::kUpdate &&
+           static_cast<int>(batch.size()) < config_.max_update_batch);
+  queued_ -= batch.size();
+  out->push_back(std::move(batch));
+}
+
+void ServiceServer::ShedExpiredLocked(std::vector<Request>* shed) {
+  if (parked_.empty()) return;
   const double now = NowSeconds();
-  for (auto it = shard.parked.begin(); it != shard.parked.end();) {
+  for (auto it = parked_.begin(); it != parked_.end();) {
     if (it->deadline_seconds > 0 && now >= it->deadline_seconds) {
       shed->push_back(std::move(*it));
-      it = shard.parked.erase(it);
+      it = parked_.erase(it);
     } else {
       ++it;
     }
   }
 }
 
-void ServiceServer::RespondShed(std::vector<Request>& shed) {
+void ServiceServer::Flush(std::vector<Request>& shed, std::vector<Batch>& work) {
   for (Request& request : shed) {
     metrics_->Add("serve.shed", 1);
     WriteResponse(*request.conn,
                   ErrResponse(request.msg, kCodeOverloaded,
                               "deadline cannot be met: shed from wait list"));
   }
-  shed.clear();
-}
-
-bool ServiceServer::PopUnitLocked(Shard& shard, Unit* unit,
-                                  std::vector<Request>* shed) {
-  ShedExpiredLocked(shard, shed);
-  // Promote parked requests into freed queue room, oldest first.
-  while (!shard.parked.empty() &&
-         shard.queue.size() < static_cast<size_t>(config_.queue_depth)) {
-    shard.queue.push_back(std::move(shard.parked.front()));
-    shard.parked.pop_front();
-  }
-  // First request whose session has no exclusive writer. Skipping a session
-  // blocks every later request of that session: cross-session reordering is
-  // allowed, intra-session reordering never.
-  std::set<std::string> skipped;
-  for (size_t i = 0; i < shard.queue.size(); ++i) {
-    const std::string& session = shard.queue[i].session;
-    if (shard.busy.count(session) != 0 || skipped.count(session) != 0) {
-      skipped.insert(session);
-      continue;
-    }
-    unit->home = &shard;
-    unit->is_read = IsSnapshotReadOp(shard.queue[i].op);
-    unit->batch.clear();
-    unit->batch.push_back(std::move(shard.queue[i]));
-    shard.queue.erase(shard.queue.begin() + static_cast<std::ptrdiff_t>(i));
-    if (unit->is_read) {
-      // Reader slot: blocks writers (they drain readers first) but not
-      // other reads of the same session — that is the whole point.
-      ++shard.readers[unit->batch.front().session];
-    } else {
-      shard.busy.insert(unit->batch.front().session);
-      if (unit->batch.front().op == ops::kUpdate) {
-        // Micro-batch: coalesce the run of same-session updates that
-        // directly followed the popped one, so a burst of single-cell
-        // updates pays one dispatch round trip.
-        while (static_cast<int>(unit->batch.size()) < config_.max_update_batch &&
-               i < shard.queue.size() && shard.queue[i].op == ops::kUpdate &&
-               shard.queue[i].session == unit->batch.front().session) {
-          unit->batch.push_back(std::move(shard.queue[i]));
-          shard.queue.erase(shard.queue.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        }
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Executors.
-
-void ServiceServer::ExecutorLoop(int shard_index) {
-  Shard& home = *shards_[static_cast<size_t>(shard_index)];
-  const size_t num_shards = shards_.size();
-  std::vector<Request> shed;
-  for (;;) {
-    Unit unit;
-    bool got = false;
-    bool drained_out = false;
-    size_t depth = 0;
-    size_t parked = 0;
-    {
-      MutexLock lock(home.mu);
-      got = PopUnitLocked(home, &unit, &shed);
-      drained_out = !got && home.closed && home.queue.empty() &&
-                    home.parked.empty();
-      depth = home.queue.size();
-      parked = home.parked.size();
-    }
-    PublishShardGauges(shard_index, depth, parked);
-    RespondShed(shed);
-    if (got) {
-      RunUnit(std::move(unit), shard_index);
-      continue;
-    }
-    if (drained_out) break;
-    // Nothing runnable at home: steal an eligible unit from another shard.
-    // The busy/reader accounting stays in the victim, so per-session
-    // ordering is preserved; at most one Shard::mu is held at a time.
-    for (size_t off = 1; off < num_shards && !got; ++off) {
-      const size_t victim_index =
-          (static_cast<size_t>(shard_index) + off) % num_shards;
-      Shard& victim = *shards_[victim_index];
-      {
-        MutexLock lock(victim.mu);
-        got = PopUnitLocked(victim, &unit, &shed);
-      }
-      RespondShed(shed);
-      if (got) {
-        metrics_->Add(home.stolen_counter, 1);
-        RunUnit(std::move(unit), shard_index);
-      }
-    }
-    if (got) continue;
-    // Idle: sleep briefly. The timeout doubles as the polling cadence for
-    // deadline shedding of parked requests and for steal opportunities on
-    // other shards (a push only notifies its own shard's executor).
-    MutexLock lock(home.mu);
-    if (!(home.closed && home.queue.empty() && home.parked.empty())) {
-      home.work_cv.WaitFor(home.mu, std::chrono::milliseconds(2));
-    }
+  for (Batch& batch : work) {
+    // std::function needs a copyable closure: the batch rides a shared_ptr.
+    auto shared = std::make_shared<Batch>(std::move(batch));
+    group_.Submit([this, shared](int) { RunBatch(std::move(*shared)); });
   }
 }
 
-void ServiceServer::RunUnit(Unit unit, int executor_shard) {
-  const Shard& self = *shards_[static_cast<size_t>(executor_shard)];
-  metrics_->Add(self.executed_counter,
-                static_cast<int64_t>(unit.batch.size()));
-  if (unit.is_read) {
-    DispatchRead(std::move(unit));
-    return;
-  }
-  Shard& home = *unit.home;
-  const std::string session = unit.batch.front().session;
-  {
-    // The session is already marked busy, so no new readers can start;
-    // wait out the in-flight ones before mutating.
-    MutexLock lock(home.mu);
-    while (home.readers.count(session) != 0) home.drain_cv.Wait(home.mu);
-  }
-  if (unit.batch.size() > 1) {
-    metrics_->Add("serve.batches", 1);
-    metrics_->Observe("serve.batch_size",
-                      static_cast<double>(unit.batch.size()));
-  }
-  ExecuteBatch(unit.batch);
-  {
-    MutexLock lock(home.mu);
-    home.busy.erase(session);
-  }
-  // Wake the home executor (and any thief polling it): requests of this
-  // session are eligible again.
-  home.work_cv.NotifyAll();
-}
-
-void ServiceServer::DispatchRead(Unit unit) {
-  auto request = std::make_shared<Request>(std::move(unit.batch.front()));
-  Shard* home = unit.home;
-  metrics_->Add("serve.snapshot_reads", 1);
-  // Value captures only: the read outlives this scope (it runs on the
-  // pool), so the request rides a shared_ptr and the shard by pointer.
-  reads_group_.Submit([this, request, home](int) {
-    ExecuteOne(*request);
-    bool drained = false;
-    {
-      MutexLock lock(home->mu);
-      auto it = home->readers.find(request->session);
-      if (it != home->readers.end() && --(it->second) == 0) {
-        home->readers.erase(it);
-        drained = true;
-      }
+Status ServiceServer::AuditSchedulerLocked(
+    const std::vector<Batch>& dispatched) const {
+  std::string error;
+  size_t queued = 0;
+  int writers = 0;
+  for (const auto& [session, box] : mailboxes_) {
+    if (box.readers < 0 || (box.writer && box.readers > 0)) {
+      error = "session '" + session + "' has a writer beside readers";
     }
-    if (drained) home->drain_cv.NotifyAll();
-  });
-}
-
-size_t ServiceServer::TotalQueued() {
-  size_t total = 0;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->queue.size() + shard->parked.size();
+    if (box.queue.empty() && box.readers == 0 && !box.writer) {
+      error = "idle mailbox '" + session + "' was not released";
+    }
+    queued += box.queue.size();
+    writers += box.writer ? 1 : 0;
   }
-  return total;
+  if (writers != mutating_ || mutating_ > mutating_slots_) {
+    error = std::to_string(writers) + " writers for " +
+            std::to_string(mutating_slots_) + " mutating slots";
+  }
+  if (queued != queued_ || queued_ > static_cast<size_t>(config_.queue_depth) ||
+      parked_.size() > static_cast<size_t>(config_.max_parked)) {
+    error = "queued " + std::to_string(queued) + " or parked " +
+            std::to_string(parked_.size()) + " over its bound or miscounted";
+  }
+  for (const Batch& batch : dispatched) {
+    bool shaped = !batch.empty() && static_cast<int>(batch.size()) <=
+                                        std::max(1, config_.max_update_batch);
+    for (const Request& request : batch) {
+      shaped = shaped && request.conn != nullptr &&
+               request.op == request.msg.Get("op").AsString() &&
+               (batch.size() == 1 || (request.op == ops::kUpdate &&
+                                      request.session == batch.front().session));
+    }
+    if (!shaped) error = "malformed batch of " + std::to_string(batch.size());
+  }
+  return audit::internal::Counted(
+      error.empty() ? Status::Ok() : Status::Error("scheduler audit: " + error));
 }
 
 // ---------------------------------------------------------------------------
 // Request execution.
 
-Status ServiceServer::AuditBatchShape(const std::vector<Request>& batch) const {
-  auto fail = [](const std::string& message) {
-    return audit::internal::Counted(Status::Error("batch audit: " + message));
-  };
-  if (batch.empty()) return fail("empty batch popped");
-  if (batch.size() > 1) {
-    if (static_cast<int>(batch.size()) > config_.max_update_batch) {
-      return fail("batch of " + std::to_string(batch.size()) +
-                  " exceeds max_update_batch " +
-                  std::to_string(config_.max_update_batch));
-    }
+void ServiceServer::RunBatch(Batch batch) {
+  while (!batch.empty()) {
+    ExecuteBatch(batch);
+    batch = Complete(batch.front().session,
+                     IsSnapshotReadOp(batch.front().op));
   }
-  for (const Request& request : batch) {
-    if (request.conn == nullptr) return fail("request without a connection");
-    if (request.op != request.msg.Get("op").AsString()) {
-      return fail("cached op '" + request.op +
-                  "' disagrees with the request message");
-    }
-    if (batch.size() > 1) {
-      if (request.op != ops::kUpdate) {
-        return fail("multi-request batch contains non-update op '" +
-                    request.op + "'");
-      }
-      if (request.session != batch.front().session) {
-        return fail("multi-request batch mixes sessions");
-      }
-    }
-  }
-  return audit::internal::Counted(Status::Ok());
 }
 
-void ServiceServer::ExecuteBatch(std::vector<Request>& batch) {
-  FASTOFD_AUDIT_OK(AuditBatchShape(batch));
-  for (Request& request : batch) ExecuteOne(request);
-}
-
-void ServiceServer::ExecuteOne(Request& request) {
-  double begin = NowSeconds();
-  metrics_->Observe("serve.queue_wait", begin - request.enqueue_seconds);
-  Json response;
-  if (request.deadline_seconds > 0 && begin > request.deadline_seconds) {
-    metrics_->Add("serve.deadline_exceeded", 1);
-    response = ErrResponse(request.msg, kCodeDeadlineExceeded,
-                           "deadline exceeded while queued");
-    metrics_->Add("serve.responses.error", 1);
-  } else {
-    response = Execute(request.msg);
+void ServiceServer::ExecuteBatch(Batch& batch) {
+  if (IsSnapshotReadOp(batch.front().op)) {
+    metrics_->Add("serve.snapshot_reads", 1);
+  } else if (batch.size() > 1) {
+    metrics_->Add("serve.batches", 1);
+    metrics_->Observe("serve.batch_size", static_cast<double>(batch.size()));
   }
-  metrics_->Observe("serve.latency." + request.op,
-                    NowSeconds() - request.enqueue_seconds);
-  WriteResponse(*request.conn, response);
+  for (Request& request : batch) {
+    const double begin = NowSeconds();
+    metrics_->Observe("serve.queue_wait", begin - request.enqueue_seconds);
+    Json response;
+    if (request.deadline_seconds > 0 && begin > request.deadline_seconds) {
+      metrics_->Add("serve.deadline_exceeded", 1);
+      metrics_->Add("serve.responses.error", 1);
+      response = ErrResponse(request.msg, kCodeDeadlineExceeded,
+                             "deadline exceeded while queued");
+    } else {
+      response = Execute(request.msg);
+    }
+    metrics_->Observe("serve.latency." + request.op,
+                      NowSeconds() - request.enqueue_seconds);
+    WriteResponse(*request.conn, response);
+  }
 }
 
 Json ServiceServer::Execute(const Json& request) {
@@ -691,9 +586,9 @@ Json ServiceServer::Execute(const Json& request) {
                                             : "serve.responses.error",
                 1);
   // Audit builds re-validate after each request. The deep audit is scoped
-  // to the request's own session — the one this executor holds exclusively
-  // (or reads under writer exclusion); auditing other sessions here would
-  // race their own shards' writers.
+  // to the request's own session — the one this unit holds exclusively (or
+  // reads under writer exclusion); auditing other sessions here would race
+  // their own writers.
   FASTOFD_AUDIT_OK(sessions_.AuditOne(request.Get("session").AsString()));
   return response;
 }
@@ -842,8 +737,8 @@ Json ServiceServer::HandleVerify(const Json& request) {
   if (!session->has_sigma()) {
     return ErrResponse(request, kCodeBadRequest, "session has no sigma");
   }
-  // Snapshot read: the shard layer guarantees no writer touches this
-  // session while we run; the version audit at the end proves it.
+  // Snapshot read: the scheduler guarantees no writer touches this session
+  // while we run; the version audit at the end proves it.
   [[maybe_unused]] const uint64_t entry_version = session->version();
   const SigmaSet& sigma = session->sigma();
   OfdVerifier verifier(session->rel(), session->index(), &session->ontology());
@@ -1025,9 +920,9 @@ Json ServiceServer::HandleUpdate(const Json& request) {
           ? session->incremental()->classes_rechecked()
           : 0;
   // Seqlock write bracket: version goes odd while the session mutates. The
-  // shard layer already drained this session's snapshot readers and blocks
-  // new ones (busy), so no read ever observes the odd window — the version
-  // audit in the read handlers enforces exactly that.
+  // scheduler dispatched this unit only after the session's snapshot reads
+  // drained and holds new ones back, so no read ever observes the odd
+  // window — the version audit in the read handlers enforces exactly that.
   session->BeginWrite();
   int applied = 0;
   for (const ResolvedUpdate& ru : resolved) {
@@ -1057,7 +952,11 @@ Json ServiceServer::HandleUpdate(const Json& request) {
 }
 
 Json ServiceServer::HandleStats(const Json& request) {
-  size_t queued = TotalQueued();
+  size_t queued = 0;
+  {
+    MutexLock lock(sched_mu_);
+    queued = queued_ + parked_.size();
+  }
   metrics_->Set("serve.queue_depth", static_cast<double>(queued));
   MetricsSnapshot snapshot = metrics_->Snapshot();
   Json counters = Json::Object();
@@ -1089,7 +988,6 @@ Json ServiceServer::HandleStats(const Json& request) {
   }
   Json response = OkResponse(request);
   response.Set("queue_depth", Json::Int(static_cast<int64_t>(queued)));
-  response.Set("shards", Json::Int(static_cast<int64_t>(shards_.size())));
   response.Set("sessions", Json::Int(static_cast<int64_t>(sessions_.size())));
   response.Set("latency", std::move(latency));
   response.Set("counters", std::move(counters));

@@ -1,51 +1,18 @@
 // The fastofd cleaning service: a resident daemon answering NDJSON requests
 // over a UNIX-domain or TCP socket.
 //
-// Threading model (see docs/protocol.md for the wire format and
-// docs/architecture.md "Service layer" for the shard diagram):
-//
-//   listener ──accept──► one reader thread per connection
-//                              │  parse line → Request
-//                              │  route: FNV-1a(session) % num_shards
-//                              ▼
-//        ┌─ shard 0 ─────────┐ ┌─ shard 1 ─────────┐  … N shards, default
-//        │ queue   (bounded) │ │ queue   (bounded) │  min(hw/2, 8)
-//        │ parked  (bounded) │ │ parked  (bounded) │
-//        │ busy / readers    │ │ busy / readers    │
-//        │ executor thread ◄─┼─┼── steals when idle│
-//        └───────────────────┘ └───────────────────┘
-//
-// Admission (reader thread): a request is queued while the shard's bounded
-// queue has room, *parked* in the shard's bounded wait list when it does
-// not, and rejected 503 only when the wait list is also full (or the server
-// is draining). Parked requests are shed 503 the moment their deadline can
-// no longer be met — load-shedding by deadline, not by instantaneous depth.
-//
-// Execution (per-shard executor threads): each executor pops the first
-// request of its shard whose session has no exclusive writer, preserving
-// per-session FIFO order (skipping a session blocks all its later
-// requests). Mutating ops mark the session busy and run exclusively, with
-// consecutive same-session `update` requests micro-batched; read-only ops
-// (`verify`/`discover`) take a reader slot and fan out to the shared
-// work-stealing ThreadPool, so concurrent clients on one hot session no
-// longer serialize — a writer drains the session's readers (drain_cv)
-// before mutating, and Session::version() seqlock-audits the quiescence.
-// An executor with an empty shard steals eligible requests from other
-// shards (busy/reader accounting stays in the victim shard, so per-session
-// ordering survives stealing).
-//
-// Graceful drain: NotifyShutdown() (async-signal-safe; SIGTERM handlers and
-// the `shutdown` op call it) stops the listener, closes every shard so new
-// requests are rejected with 503, lets each executor finish every queued
-// *and parked* request, waits out in-flight snapshot reads, and only then
-// tears connections down — no accepted request loses its response. Wait()
-// returns once the drain completes; the caller then flushes metrics.
-//
-// Observability: per-op request counters and latency histograms
-// (p50/p95/p99 via `stats`), per-shard depth/parked gauges and
-// stolen/executed counters under `serve.shard.<i>.*`, queue-wait and
-// batch-size histograms, and rejection/shed/deadline counters, all in the
-// shared MetricsRegistry under `serve.*`.
+// Threading model (docs/architecture.md "Service layer" has the diagram,
+// docs/protocol.md the wire format): a listener thread accepts, one reader
+// thread per connection parses and admits requests, and every request runs
+// as a task on the shared work-stealing ThreadPool. Admission is
+// server-wide: queue_depth queued requests, then an arrival-ordered wait
+// list of max_parked (shed 503 once a deadline passes), then 503. Each
+// session has a mailbox that exists only while it has work: reads at its
+// head run concurrently, a mutation runs alone once they drained, and at
+// most max(1, workers/2) mutations run at once. Completions pump the
+// scheduler, so nothing blocks waiting for work. NotifyShutdown() drains
+// gracefully: admission closes, every admitted request is still answered,
+// then connections close. Metrics land under `serve.*`.
 
 #ifndef FASTOFD_SERVICE_SERVER_H_
 #define FASTOFD_SERVICE_SERVER_H_
@@ -54,11 +21,10 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -78,23 +44,22 @@ struct ServerConfig {
   std::string unix_socket;
   /// TCP port on 127.0.0.1 (0 = ephemeral, see ServiceServer::port()).
   int tcp_port = 0;
-  /// Worker threads of the shared execution pool.
+  /// Worker threads of the shared execution pool. The pool always has at
+  /// least 2 workers: a serial pool would run requests inline on the reader
+  /// threads, stalling admission and the queued-deadline clock.
   int threads = 1;
-  /// Session-shard executors (0 = auto: min(max(1, hw/2), 8)). Requests
-  /// route to shards by a stable hash of the session id.
-  int shards = 0;
-  /// Admission control: maximum queued (not yet executing) requests per
-  /// shard.
+  /// Admission control: maximum queued (admitted, not yet dispatched)
+  /// requests, server-wide.
   int queue_depth = 64;
-  /// Bounded wait list per shard: requests that find the queue full park
-  /// here until capacity frees or their deadline can no longer be met
-  /// (shed 503). 0 disables parking (hard 503 at queue_depth).
+  /// Server-wide wait list: requests that find the queue full park here
+  /// until capacity frees or their deadline can no longer be met (shed
+  /// 503). 0 disables parking (hard 503 at queue_depth).
   int max_parked = 1024;
   /// Default per-request deadline in ms (0 = none); requests may override
   /// with a `deadline_ms` field. The deadline covers time spent queued.
   double default_deadline_ms = 0.0;
   /// Maximum consecutive same-session `update` requests coalesced into one
-  /// executor batch.
+  /// dispatched batch.
   int max_update_batch = 64;
   /// Partition-cache budget per session, in bytes.
   int64_t cache_budget_bytes = PartitionCache::kUnbounded;
@@ -117,7 +82,7 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  /// Binds, listens, and spawns the listener + per-shard executor threads.
+  /// Binds, listens, and spawns the listener thread.
   Status Start();
 
   /// Begins a graceful drain. Async-signal-safe (writes one byte to an
@@ -131,18 +96,10 @@ class ServiceServer {
   int port() const { return port_; }
 
   /// Executes one request inline on the calling thread, bypassing the
-  /// socket and shard queues — the deterministic core the wire path wraps.
+  /// socket and the scheduler — the deterministic core the wire path wraps.
   /// Exposed for tests and the in-process bench. Not safe concurrently
   /// with itself or with a started server's traffic.
   Json Execute(const Json& request);
-
-  /// The stable session → shard routing (FNV-1a over the session id).
-  /// Exposed so tests can construct colliding / non-colliding session
-  /// names deterministically.
-  static size_t ShardOf(const std::string& session, size_t shard_count);
-
-  /// Number of shard executors this server resolved (>= 1).
-  int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   // write_mu serializes writers and guards fd against the reader's close.
@@ -165,49 +122,20 @@ class ServiceServer {
     double deadline_seconds = 0.0;  // Absolute; 0 = none.
   };
 
-  /// One session shard: a bounded admitted queue, a bounded wait list, the
-  /// per-session exclusion state, and the executor thread that drains them.
-  ///
-  /// Shard mutexes form an *unordered family*: code must hold at most one
-  /// Shard::mu at a time (a thief locks only the victim's mu, never its own
-  /// alongside), because lock order across the elements of a mutex array is
-  /// not expressible to the analysis — see src/common/sync.h.
-  struct Shard {
-    Mutex mu;
-    /// Executor sleep/wake: notified on push, busy-clear, and close.
-    CondVar work_cv;
-    /// Writers wait here until the session's snapshot readers drain.
-    CondVar drain_cv;
-    /// Admitted, not yet executing; at most config.queue_depth entries.
-    std::deque<Request> queue GUARDED_BY(mu);
-    /// Bounded wait list: admitted but waiting for queue room; shed 503
-    /// when the deadline passes. At most config.max_parked entries.
-    std::deque<Request> parked GUARDED_BY(mu);
-    /// Sessions currently held by an exclusive writer (possibly executing
-    /// on a *different* shard's executor after a steal — the accounting
-    /// stays here, in the session's home shard).
-    std::set<std::string> busy GUARDED_BY(mu);
-    /// Session → number of in-flight snapshot reads on the shared pool.
-    std::map<std::string, int> readers GUARDED_BY(mu);
-    bool closed GUARDED_BY(mu) = false;
-    std::thread executor;
-    // Precomputed metric names (constant after construction, unguarded):
-    // building "serve.shard.<i>.depth" per request would allocate on the
-    // admission hot path.
-    std::string depth_gauge;
-    std::string parked_gauge;
-    std::string stolen_counter;
-    std::string executed_counter;
-  };
+  /// One dispatched task's worth of requests: a single snapshot read, or an
+  /// exclusive unit (one mutating request, or a micro-batched run of
+  /// updates).
+  using Batch = std::vector<Request>;
 
-  /// One unit of work popped from a shard: either a single snapshot-read
-  /// request (a readers[] slot is already held in `home`) or an exclusive
-  /// batch (the session is marked busy in `home`). `home` is the shard the
-  /// unit was popped from — the victim, under stealing.
-  struct Unit {
-    std::vector<Request> batch;
-    bool is_read = false;
-    Shard* home = nullptr;
+  /// A session's admitted requests in arrival order, plus what of the
+  /// session is running. Exists only while it has queued or running work;
+  /// reads at the head fan out concurrently, a mutation waits for them to
+  /// finish and then for a mutating slot.
+  struct Mailbox {
+    std::deque<Request> queue;  // Admitted, not yet dispatched.
+    int readers = 0;            // Snapshot reads in flight.
+    bool writer = false;        // A mutating batch in flight.
+    bool awaiting_slot = false; // Listed in slot_waiters_.
   };
 
   void ListenerLoop();
@@ -215,8 +143,6 @@ class ServiceServer {
   /// to finished_readers_ for the listener (or Wait) to join.
   void ReaderLoop(std::shared_ptr<Connection> conn,
                   std::list<std::thread>::iterator self);
-  /// Drains shards_[shard_index], stealing from other shards when idle.
-  void ExecutorLoop(int shard_index);
   void BeginDrain();
   /// Joins every reader thread that has finished its loop. Cheap: joined
   /// threads have already exited.
@@ -225,52 +151,43 @@ class ServiceServer {
   /// Admission (reader threads): queue, else park, else reject (false).
   /// The request is only consumed on success; on rejection the caller's
   /// object is untouched so it can still build the 503 (echoing the id).
-  /// Also sheds expired parked requests as a side effect.
-  bool ShardPush(Request&& request);
-  /// Pops the next eligible unit: sheds expired parked entries into *shed,
-  /// promotes parked → queue while there is room, then takes the first
-  /// queued request whose session has no exclusive writer (skipping a
-  /// session blocks all its later requests — per-session FIFO). Marks the
-  /// reader slot / busy entry in `shard` before returning.
-  bool PopUnitLocked(Shard& shard, Unit* unit, std::vector<Request>* shed)
-      REQUIRES(shard.mu);
-  /// Moves parked requests whose deadline can no longer be met into *shed.
-  void ShedExpiredLocked(Shard& shard, std::vector<Request>* shed)
-      REQUIRES(shard.mu);
-  /// Writes the 503 shed responses. Call with no shard mutex held.
-  void RespondShed(std::vector<Request>& shed);
-  /// Executes one popped unit on the calling executor thread (exclusive
-  /// batches run inline after draining the session's readers; snapshot
-  /// reads dispatch to the shared pool and return immediately).
-  void RunUnit(Unit unit, int executor_shard);
-  /// Submits a snapshot read to the pool; the completion releases the
-  /// reader slot in unit.home and notifies its drain_cv.
-  void DispatchRead(Unit unit);
-  /// Publishes the shard's depth/parked gauges. Call outside shard.mu with
-  /// sizes snapshotted under it.
-  void PublishShardGauges(int shard_index, size_t depth, size_t parked);
-  /// Sum of queued + parked requests across shards (locks one at a time).
-  size_t TotalQueued();
+  bool Admit(Request&& request) EXCLUDES(sched_mu_);
+  /// A dispatched batch finished: releases its hold on the session, then
+  /// pumps the scheduler (slot hand-off, mailbox, shedding, promotion).
+  /// Returns a mutating batch for the caller to run next, or an empty one.
+  Batch Complete(const std::string& session, bool is_read) EXCLUDES(sched_mu_);
+  /// Appends `request` to its session's mailbox and pumps it.
+  void EnqueueLocked(Request&& request, std::vector<Batch>* out)
+      REQUIRES(sched_mu_);
+  /// Moves into *out whatever the mailbox head may dispatch now.
+  void PumpLocked(Mailbox& box, std::vector<Batch>* out) REQUIRES(sched_mu_);
+  /// Takes a mutating slot for the mailbox head.
+  void StartWriterLocked(Mailbox& box, std::vector<Batch>* out)
+      REQUIRES(sched_mu_);
+  /// Moves parked requests whose deadline has passed into *shed.
+  void ShedExpiredLocked(std::vector<Request>* shed) REQUIRES(sched_mu_);
+  /// Writes the 503 shed responses, then submits each batch to the pool.
+  void Flush(std::vector<Request>& shed, std::vector<Batch>& work)
+      EXCLUDES(sched_mu_);
 
+  /// Pool task body: runs the batch, then whatever Complete hands back.
+  void RunBatch(Batch batch);
+  /// Executes the batch's requests in order (expired deadline → 504) and
+  /// writes each response.
+  void ExecuteBatch(Batch& batch);
   void WriteResponse(Connection& conn, const Json& response);
-  /// Runs a batch of requests inline: per-request queue-wait/deadline
-  /// accounting around Execute, responses written in order.
-  void ExecuteBatch(std::vector<Request>& batch);
-  /// One request of a batch: deadline check (expired → 504), Execute,
-  /// latency observation, response write.
-  void ExecuteOne(Request& request);
 
-  /// Deep invariant audit (common/audit.h): a popped batch is non-empty,
-  /// within the micro-batch bound, every request carries a live connection
-  /// and an op matching its message, and multi-request batches are runs of
-  /// same-session updates — the shape PopUnitLocked promises.
-  Status AuditBatchShape(const std::vector<Request>& batch) const;
+  /// Deep invariant audit (common/audit.h) after every admission and
+  /// completion: no writer beside readers, writers within their slots,
+  /// queued/parked within bounds, and every dispatched batch well-shaped.
+  Status AuditSchedulerLocked(const std::vector<Batch>& dispatched) const
+      REQUIRES(sched_mu_);
 
   /// Snapshot file for a session name, or "" when snapshots are disabled
   /// or the name contains characters unsafe for a filename.
   std::string SnapshotPathFor(const std::string& session) const;
 
-  // --- Handlers (executor threads; verify/discover also pool workers) ---
+  // --- Handlers (pool workers) ---
   Json HandlePing(const Json& request);
   Json HandleLoad(const Json& request);
   Json HandleUnload(const Json& request);
@@ -285,11 +202,31 @@ class ServiceServer {
   const ServerConfig config_;
   MetricsRegistry* const metrics_;
   ThreadPool pool_;
-  // Long-lived group for in-flight snapshot reads. Declared after pool_ so
-  // its destructor (which waits for the reads) runs before the pool's.
-  TaskGroup reads_group_;
+  // At most this many mutating batches run at once: max(1, workers/2). Half
+  // the workers stay free for snapshot reads, and concurrent `load`s — each
+  // holding a whole session's load-time memory — stay bounded.
+  const int mutating_slots_;
+  // Long-lived group for every dispatched batch. Declared after pool_ so its
+  // destructor (which waits for the batches) runs before the pool's.
+  TaskGroup group_;
   SessionRegistry sessions_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  // The scheduler. A leaf lock: nothing else is ever acquired under it, and
+  // it is never held across Execute, WriteResponse or Submit.
+  Mutex sched_mu_;
+  std::unordered_map<std::string, Mailbox> mailboxes_ GUARDED_BY(sched_mu_);
+  // Arrival-ordered wait list; at most config.max_parked entries.
+  std::deque<Request> parked_ GUARDED_BY(sched_mu_);
+  // Mailboxes whose head mutation waits for a mutating slot, in order
+  // (unordered_map nodes are stable, and a waiting mailbox is never idle).
+  std::deque<Mailbox*> slot_waiters_ GUARDED_BY(sched_mu_);
+  // Requests in mailbox queues; at most config.queue_depth.
+  size_t queued_ GUARDED_BY(sched_mu_) = 0;
+  int mutating_ GUARDED_BY(sched_mu_) = 0;
+  bool closed_ GUARDED_BY(sched_mu_) = false;
+  // Wait() sleeps here until a closed scheduler has no work left (no
+  // mailbox: each exists only while it has queued or running work).
+  CondVar idle_cv_;
 
   // listen_fd_ is single-threaded by phase: written by Start() before any
   // thread exists, then owned by the listener thread (ListenerLoop /
@@ -297,7 +234,6 @@ class ServiceServer {
   int listen_fd_ = -1;
   int port_ = 0;
   int shutdown_pipe_[2] = {-1, -1};
-  std::atomic<bool> draining_{false};
   std::atomic<bool> shutdown_requested_{false};
 
   std::thread listener_;

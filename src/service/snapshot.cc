@@ -23,25 +23,36 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 // checksum(8).
 constexpr size_t kHeaderSize = 32;
 
+// Every writer below funnels through AppendBytes: resize + memcpy, rather
+// than vector::insert from a pointer range, which GCC 12 at -O2 misreports
+// as -Wstringop-overflow / -Warray-bounds on a reserved vector.
+void AppendBytes(std::vector<uint8_t>* out, const void* data, size_t size) {
+  if (size == 0) return;
+  const size_t offset = out->size();
+  out->resize(offset + size);
+  std::memcpy(out->data() + offset, data, size);
+}
+
 void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
+  uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
+  AppendBytes(out, bytes, sizeof(bytes));
 }
 
 void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-  }
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
+  AppendBytes(out, bytes, sizeof(bytes));
 }
 
 void AppendString(std::vector<uint8_t>* out, const std::string& s) {
   AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
+  AppendBytes(out, s.data(), s.size());
 }
 
 void AppendStamp(std::vector<uint8_t>* out, const SourceStamp& stamp) {
-  out->push_back(stamp.present ? 1 : 0);
+  const uint8_t present = stamp.present ? 1 : 0;
+  AppendBytes(out, &present, 1);
   AppendU64(out, stamp.size);
   AppendU64(out, stamp.fnv64);
 }
@@ -244,18 +255,18 @@ std::vector<uint8_t> BuildSnapshotImage(
     std::vector<uint8_t> blob;
     partition->AppendTo(&blob);
     AppendU32(&payload, static_cast<uint32_t>(blob.size()));
-    payload.insert(payload.end(), blob.begin(), blob.end());
+    AppendBytes(&payload, blob.data(), blob.size());
   }
 
   // Header last: it needs the payload size and checksum.
   std::vector<uint8_t> image;
   image.reserve(kHeaderSize + payload.size());
-  image.insert(image.end(), kSnapshotMagic, kSnapshotMagic + 8);
+  AppendBytes(&image, kSnapshotMagic, 8);
   AppendU32(&image, kSnapshotVersion);
   AppendU32(&image, 0);  // Reserved.
   AppendU64(&image, payload.size());
   AppendU64(&image, Fnv1a64(payload.data(), payload.size()));
-  image.insert(image.end(), payload.begin(), payload.end());
+  AppendBytes(&image, payload.data(), payload.size());
   return image;
 }
 

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +208,29 @@ TEST(TaskGroupTest, WaitWithZeroPendingTasks) {
     group.Wait();  // And idempotent again once drained.
     EXPECT_EQ(ran.load(), 1);
   }
+}
+
+TEST(TaskGroupTest, DestroyedRightAfterWaitIsNeverTouchedAgain) {
+  // A finishing task must not touch its group after the decrement that lets
+  // Wait() return: the waiter may destroy a stack group at once. Each group
+  // here lives in stack storage that is destroyed and scribbled over the
+  // moment Wait() returns, so a late touch reads garbage and TSan reports
+  // the race on every run.
+  ThreadPool pool(4);
+  std::atomic<int64_t> ran{0};
+  constexpr int kRounds = 3000;
+  constexpr int kTasks = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    alignas(TaskGroup) unsigned char storage[sizeof(TaskGroup)];
+    TaskGroup* group = new (storage) TaskGroup(&pool);
+    for (int t = 0; t < kTasks; ++t) {
+      group->Submit([&ran](int) { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    group->Wait();
+    group->~TaskGroup();
+    std::memset(storage, 0xA5, sizeof(storage));
+  }
+  EXPECT_EQ(ran.load(), int64_t{kRounds} * kTasks);
 }
 
 TEST(TaskGroupTest, SubmitFromExternalThreadRunsEverything) {

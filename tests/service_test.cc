@@ -381,12 +381,12 @@ TEST_F(ServiceSocketTest, QueueOverflowIsRejectedWith503) {
   config.max_parked = 2;
   StartServer(config);
 
-  // Park the executor in a sleep, then overfill the queue.
+  // Hold the sessionless mailbox with a sleep, then overfill the queue.
   ServiceClient blocker = Connect();
   Json sleep_req = Req(ops::kSleep);
   sleep_req.Set("ms", Json::Number(400));
   ASSERT_TRUE(blocker.Send(sleep_req).ok());
-  // Give the executor time to pop the sleep off the queue.
+  // Give the scheduler time to dispatch the sleep off the queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ServiceClient flood = Connect();
@@ -411,7 +411,7 @@ TEST_F(ServiceSocketTest, QueueOverflowIsRejectedWith503) {
       ++rejected;
     }
   }
-  // The shard admits queue_depth + max_parked requests (minus one queue slot
+  // The server admits queue_depth + max_parked requests (minus one queue slot
   // if the sleep had not been popped yet); everything else must have been
   // admission-rejected, and every admitted ping answered after the sleep.
   EXPECT_GE(rejected, kSent - 2 - 2 - 1);
@@ -445,14 +445,13 @@ TEST_F(ServiceSocketTest, ExpiredDeadlineGets504) {
 
 TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   ServerConfig config;
-  config.shards = 1;       // Deterministic: no thief can drain the shard.
   config.queue_depth = 1;  // One queue slot, so the probe must park.
   config.max_parked = 4;
   StartServer(config);
   ServiceClient client = Connect();
 
-  // Occupy the executor, fill the single queue slot, then park a request
-  // whose deadline expires long before the executor frees up.
+  // Occupy the sessionless mailbox, fill the single queue slot, then park a
+  // request whose deadline expires long before the sleep finishes.
   Json sleep_req = Req(ops::kSleep, 1);
   sleep_req.Set("ms", Json::Number(300));
   ASSERT_TRUE(client.Send(sleep_req).ok());
@@ -463,7 +462,7 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   ASSERT_TRUE(client.Send(doomed).ok());
 
   // All three must be answered: the shed 503 must carry the parked
-  // request's id (not a 504 — it never reached an executor), and shedding
+  // request's id (not a 504 — it never started), and shedding
   // must not disturb the admitted requests.
   int pongs = 0;
   bool shed_seen = false;
@@ -485,12 +484,17 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
   EXPECT_EQ(snapshot.Counter("serve.deadline_exceeded"), 0);
   EXPECT_EQ(snapshot.Counter("serve.rejected"), 0);
 
-  // The shed entry must not leak a wait-list slot: the shard reports an
-  // empty wait list, and the shard still serves traffic.
-  auto parked_it = snapshot.gauges.find("serve.shard.0.parked");
-  ASSERT_NE(parked_it, snapshot.gauges.end());
-  EXPECT_EQ(parked_it->second, 0.0);
-  auto after = client.Call(Req(ops::kPing, 4));
+  // The shed entry must not leak a queue or wait-list slot: `stats` reports
+  // (and publishes as the serve.queue_depth gauge) nothing waiting, and the
+  // server still serves traffic.
+  auto stats = client.Call(Req(ops::kStats, 4));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().Get("queue_depth").AsInt(-1), 0);
+  MetricsSnapshot after_stats = metrics_.Snapshot();
+  auto depth_it = after_stats.gauges.find("serve.queue_depth");
+  ASSERT_NE(depth_it, after_stats.gauges.end());
+  EXPECT_EQ(depth_it->second, 0.0);
+  auto after = client.Call(Req(ops::kPing, 5));
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.value().Get("ok").AsBool());
 }
@@ -498,18 +502,15 @@ TEST_F(ServiceSocketTest, ParkedRequestIsShedWhenDeadlineCannotBeMet) {
 TEST_F(ServiceSocketTest, ConsecutiveUpdatesAreMicroBatched) {
   ServerConfig config;
   config.queue_depth = 64;
-  // One shard: with more, an idle executor could steal the first updates
-  // off the blocked shard before the whole run is queued, splitting the
-  // batch this test asserts on.
-  config.shards = 1;
   StartServer(config);
   ServiceClient client = Connect();
   auto loaded = client.Call(LoadReq("s"));
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().Get("ok").AsBool());
 
-  // Park the executor so the updates pile up in the queue, then verify they
-  // are popped as one batch but answered individually.
+  // Hold the only mutating slot with a sleep so the updates pile up in the
+  // session's mailbox, then verify they are dispatched as one batch but
+  // answered individually.
   Json sleep_req = Req(ops::kSleep);
   sleep_req.Set("ms", Json::Number(200));
   ASSERT_TRUE(client.Send(sleep_req).ok());
@@ -541,8 +542,8 @@ TEST_F(ServiceSocketTest, GracefulDrainAnswersEveryAcceptedRequest) {
   for (int i = 0; i < kPings; ++i) {
     ASSERT_TRUE(client.Send(Req(ops::kPing, 10 + i)).ok());
   }
-  // Let the reader enqueue everything (the sleep holds the executor, so the
-  // pings are sitting in the queue) before the drain begins.
+  // Let the reader enqueue everything (the sleep holds the sessionless
+  // mailbox, so the pings are sitting in it) before the drain begins.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server_->NotifyShutdown();
 

@@ -16,7 +16,7 @@
 //               [--out data.csv] [--ontology-out o.txt] [--sigma-out s.txt]
 //       Generate a synthetic instance (data + ontology + Σ + ground truth).
 //
-//   fastofd serve (--socket PATH | --port N) [--shards S] [--queue-depth D]
+//   fastofd serve (--socket PATH | --port N) [--threads T] [--queue-depth D]
 //                 [--max-parked P] [--deadline-ms MS] [--max-batch B]
 //                 [--snapshot-dir DIR]
 //       Run the resident cleaning service (NDJSON over a UNIX-domain or
@@ -348,7 +348,6 @@ int RunServe(const Flags& flags) {
     return 2;
   }
   config.threads = ExecContext::ResolveThreads(flags);
-  config.shards = static_cast<int>(flags.GetInt("shards", 0));
   config.queue_depth = static_cast<int>(flags.GetInt("queue-depth", 64));
   config.max_parked = static_cast<int>(flags.GetInt("max-parked", 1024));
   config.default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
