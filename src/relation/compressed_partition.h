@@ -10,13 +10,12 @@
 //   complement  delta-gap varints of the *absent* ids in (first, last) —
 //               dense classes (near-runs) where the holes are few.
 //
-// The stream is append-only and classes decode strictly in order, which is
-// all the partition kernels need: IntersectInto / RefineInto / IntersectError
-// only ever walk both operands' classes sequentially, so a Cursor that
-// decodes one class at a time into a reusable buffer lets a compressed
-// operand feed the kernels without ever materializing the flat arena
-// (see the compressed overloads on StrippedPartition). Decode() rebuilds the
+// The stream is append-only and classes decode strictly in order. A Cursor
+// decodes one class at a time into a reusable buffer, which is all the
+// compressed StrippedPartition::RefineInto overload needs to refine a cold
+// partition without materializing the flat arena. Decode() rebuilds the
 // flat form byte-identically (same class order, same rows) for hot paths.
+// This file is codec-only: every partition kernel lives in partition.cc.
 //
 // A CompressedPartition either owns its stream (Encode) or is a non-owning
 // view over external bytes (FromBytes over a memory-mapped snapshot, kept
@@ -128,8 +127,6 @@ class CompressedPartition {
   Status AuditInvariants() const;
 
  private:
-  friend class StrippedPartition;
-
   const uint8_t* data() const {
     return view_data_ != nullptr ? view_data_ : owned_.data();
   }

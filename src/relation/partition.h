@@ -123,9 +123,10 @@ class ClassesView {
 /// O(capacity) clears happen on the hot path):
 ///   probe      row -> class index in the probe-side partition, -1 if the
 ///              row is stripped there (singleton).
-///   counts     per probe-side class: rows seen in the current outer class.
-///   slot       per probe-side class: output write cursor, -1 = dropped.
-///   val_*      the same pair keyed by ValueId, for column refinement.
+///   counts     per key: rows seen in the current class being split.
+///   slot       per key: output write cursor, -1 = dropped.
+/// A key is a probe-side class index (intersection) or a dictionary value
+/// id (column refinement); one set of counters serves both.
 class PartitionScratch {
  public:
   PartitionScratch() = default;
@@ -138,16 +139,10 @@ class PartitionScratch {
   void EnsureRows(size_t num_rows) {
     if (probe_.size() < num_rows) probe_.resize(num_rows, -1);
   }
-  void EnsureClasses(size_t num_classes) {
-    if (counts_.size() < num_classes) {
-      counts_.resize(num_classes, 0);
-      slot_.resize(num_classes, -1);
-    }
-  }
-  void EnsureValues(size_t num_values) {
-    if (val_counts_.size() < num_values) {
-      val_counts_.resize(num_values, 0);
-      val_slot_.resize(num_values, -1);
+  void EnsureKeys(size_t num_keys) {
+    if (counts_.size() < num_keys) {
+      counts_.resize(num_keys, 0);
+      slot_.resize(num_keys, -1);
     }
   }
 
@@ -155,9 +150,6 @@ class PartitionScratch {
   std::vector<int32_t> counts_;
   std::vector<int32_t> slot_;
   std::vector<int32_t> touched_;
-  std::vector<int32_t> val_counts_;
-  std::vector<int32_t> val_slot_;
-  std::vector<ValueId> touched_vals_;
 };
 
 /// A stripped partition: equivalence classes of size >= 2 over some
@@ -190,7 +182,13 @@ class StrippedPartition {
   /// Refines `a` in place by a dictionary-coded column: equivalent to
   /// Product(a, Build(rel, attr)) but never materializes the column's own
   /// partition. `num_values` bounds the column's value ids (dict size).
+  /// The compressed overload walks `a` one class at a time with
+  /// CompressedPartition::Cursor, so the cache refines cold prefixes without
+  /// decoding them; its output is identical to the flat overload's.
   static void RefineInto(const StrippedPartition& a, const std::vector<ValueId>& column,
+                         size_t num_values, PartitionScratch* scratch,
+                         StrippedPartition* out);
+  static void RefineInto(const CompressedPartition& a, const std::vector<ValueId>& column,
                          size_t num_values, PartitionScratch* scratch,
                          StrippedPartition* out);
 
@@ -220,27 +218,6 @@ class StrippedPartition {
     p.num_rows_ = num_rows;
     return p;
   }
-
-  /// Reassembles a partition from flat parts (CompressedPartition::Decode
-  /// and the snapshot loader). Shape is CHECK-validated (offsets start at 0
-  /// and cover the arena); semantic validity is the caller's audit.
-  static StrippedPartition FromParts(std::vector<RowId> rows,
-                                     std::vector<uint32_t> offsets,
-                                     int64_t num_rows);
-
-  // Compressed-operand kernels (relation/compressed_partition.cc): identical
-  // results to the flat kernels, but the compressed side is walked with a
-  // streaming one-class-at-a-time cursor — no full decode, no arena
-  // materialization. This is what lets the cache's cold tier feed
-  // intersection/refinement (e.g. recursive-prefix computation) in place.
-  static void IntersectInto(const CompressedPartition& a, const StrippedPartition& b,
-                            PartitionScratch* scratch, StrippedPartition* out);
-  static int64_t IntersectError(const CompressedPartition& a,
-                                const StrippedPartition& b,
-                                PartitionScratch* scratch, int64_t max_error);
-  static void RefineInto(const CompressedPartition& a, const std::vector<ValueId>& column,
-                         size_t num_values, PartitionScratch* scratch,
-                         StrippedPartition* out);
 
   /// Per-thread PartitionScratch for the wrapper entry points; reusing it
   /// across calls is what makes Product/Refine allocation-free in steady
@@ -327,20 +304,19 @@ class StrippedPartition {
   std::vector<std::vector<RowId>> ToClassVectors() const;
 
  private:
-  friend class CompressedPartition;  // Encode reads the arena directly.
+  friend class CompressedPartition;  // Decode writes the arena directly.
 
   size_t NumClassesSize() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
-  // Shared emission loop: intersects classes [first, last) of `outer`
-  // against `probe` (the probe-side class index per row, -1 = stripped),
-  // appending kept classes to rows/offsets. `offsets` must carry the
-  // leading 0 of its arena segment already.
-  static void EmitIntersection(const StrippedPartition& outer, size_t first, size_t last,
-                               const std::vector<int32_t>& probe,
-                               PartitionScratch* scratch, std::vector<RowId>* rows,
-                               std::vector<uint32_t>* offsets);
+  // The one split loop behind every product kernel: splits `cls` by
+  // key[row], drops rows whose key is < 0, and appends each group of >= 2
+  // rows to rows/offsets in first-touch order (deterministic, independent
+  // of how classes are chunked). Keys are probe-side class indices or
+  // dictionary value ids; the scratch must cover every key (EnsureKeys).
+  static void SplitClass(RowSpan cls, const int32_t* key, PartitionScratch* scratch,
+                         std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
 
   // rows_ holds every class back to back; class i spans
   // rows_[offsets_[i], offsets_[i+1]). offsets_ is empty when there are no
@@ -368,7 +344,7 @@ class MetricsRegistry;  // common/metrics.h
 /// budget, evicted outright from the cold end. A Get() that lands on a
 /// compressed entry decodes and promotes it back to the hot tier; the
 /// recursive-prefix path instead refines straight off the compressed form
-/// via the streaming kernels, so cold prefixes never pay a decode.
+/// (the compressed RefineInto), so cold prefixes never pay a decode.
 ///
 /// Entries are charged by a full footprint: the partition's allocated bytes
 /// plus the fixed per-entry bookkeeping (hash-map node, LRU list node,
@@ -390,8 +366,7 @@ class PartitionCache {
 
   explicit PartitionCache(const Relation& rel,
                           int64_t budget_bytes = kUnbounded,
-                          MetricsRegistry* metrics = nullptr,
-                          bool compress_cold = true);
+                          MetricsRegistry* metrics = nullptr);
 
   /// Returns the stripped partition for `attrs`, computing (and caching)
   /// it and any missing prefixes on demand. A partition whose footprint
@@ -474,8 +449,8 @@ class PartitionCache {
     int64_t bytes = 0;
   };
 
-  // Computes Π*_attrs, reusing cached prefixes (flat or, via the streaming
-  // kernels, compressed in place) and appending newly computed prefixes to
+  // Computes Π*_attrs, reusing cached prefixes (flat or, via the compressed
+  // RefineInto, cold in place) and appending newly computed prefixes to
   // `pending` instead of inserting them. Runs unlocked except for lookups.
   StrippedPartition ComputeMissing(AttrSet attrs,
                                    std::vector<PendingInsert>* pending) EXCLUDES(mu_);
@@ -497,7 +472,6 @@ class PartitionCache {
   const Relation& rel_;
   const int64_t budget_bytes_;
   MetricsRegistry* const metrics_;
-  const bool compress_cold_;
 
   // mu_ is held only around map/LRU bookkeeping plus cold-tier compression
   // (one linear encode pass per victim); partition computation, promotion

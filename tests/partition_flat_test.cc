@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "relation/compressed_partition.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
@@ -124,6 +125,12 @@ TEST(FlatKernelPropertyTest, MatchesNaiveReferenceAcrossShapes) {
       EXPECT_EQ(Canonical(out), expected) << "refine";
       EXPECT_TRUE(out.AuditInvariants(rel, both).ok());
 
+      // Refinement keys the scratch counters by value id, intersection by
+      // probe-side class: the same counters must come back clean for the
+      // other use.
+      StrippedPartition::IntersectInto(fa, fb, &scratch, &out);
+      EXPECT_EQ(Canonical(out), expected) << "intersect after refine";
+
       // BuildForSet is the ping-pong refinement composition.
       StrippedPartition direct = StrippedPartition::BuildForSet(rel, both);
       EXPECT_EQ(Canonical(direct), expected) << "build-for-set";
@@ -203,25 +210,27 @@ TEST(FlatAuditTest, AcceptsWellFormedLayoutAndRejectsCorruption) {
 // allocated arena bytes, so filling the cache past a small budget must
 // evict (before the fix, undercounted footprints let the cache blow its
 // --cache-mb budget without ever evicting). Audit-backed: the cache's own
-// invariant auditor re-derives every charge and the budget check.
-// compress_cold=false pins the single-tier policy: with the compressed cold
-// tier enabled these dense partitions shrink ~4x and all four fit the same
-// budget without a single eviction (covered in storage_test.cc).
+// invariant auditor re-derives every charge and the budget check. The cold
+// tier compresses before it evicts, so the budget leaves room for the newest
+// entry (held flat) plus two and a half compressed ones: the fourth
+// partition cannot fit even with every older entry compressed.
 TEST(PartitionCacheTest, EvictsWhenArenaBytesExceedBudget) {
   Relation rel = MakeRandomRelation(2000, {"four-cols", {50, 50, 50, 50}}, 9);
   StrippedPartition sample = StrippedPartition::Build(rel, 0);
   sample.Compact();
-  const int64_t footprint = PartitionCache::FootprintBytes(sample);
-  ASSERT_GT(footprint, 0);
+  const int64_t flat = PartitionCache::FootprintBytes(sample);
+  const int64_t cold =
+      PartitionCache::FootprintBytes(CompressedPartition::Encode(sample));
+  ASSERT_GT(cold, 0);
+  ASSERT_LT(cold, flat);
 
-  // Room for roughly two compacted single-attribute partitions.
-  PartitionCache cache(rel, footprint * 2 + footprint / 2,
-                       /*metrics=*/nullptr, /*compress_cold=*/false);
+  PartitionCache cache(rel, flat + 2 * cold + cold / 2);
   for (AttrId a = 0; a < 4; ++a) {
     std::shared_ptr<const StrippedPartition> p = cache.Get(AttrSet::Single(a));
     ASSERT_NE(p, nullptr);
     EXPECT_TRUE(cache.AuditInvariants().ok());
   }
+  EXPECT_GT(cache.compressions(), 0);
   EXPECT_GT(cache.evictions(), 0);
   EXPECT_LE(cache.bytes(), cache.budget_bytes());
   EXPECT_LT(cache.size(), 4u);

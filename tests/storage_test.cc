@@ -1,6 +1,6 @@
 // The compressed storage tier: hybrid codec round-trips byte-identically
-// across density regimes, streaming kernels over compressed operands match
-// the flat kernels bit for bit, FromBytes rejects malformed streams, and the
+// across density regimes, refinement over a compressed operand matches the
+// flat kernel bit for bit, FromBytes rejects malformed streams, and the
 // PartitionCache two-tier policy (compress cold entries before evicting,
 // promote on hit, refine prefixes in place) honors its budget and metrics —
 // including regressions for the three cache-accounting bugs: stale gauges,
@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -183,54 +182,26 @@ TEST(CompressedPartitionTest, SerializationRoundTripAndRejection) {
   EXPECT_FALSE(counters.ok());
 }
 
-// Streaming-kernel identity: intersect/refine/error over a compressed left
-// operand must equal the flat kernels byte for byte, across density shapes
-// and both probe directions (a smaller / a larger).
-TEST(CompressedKernelsTest, MatchFlatKernelsBitForBit) {
+// Compressed-operand refinement (the cache's cold-prefix path) must equal
+// the flat kernel byte for byte, class order included, across every density
+// shape and column pair.
+TEST(CompressedRefineTest, MatchesFlatRefineBitForBit) {
   for (const ColumnShape& shape : kShapes) {
+    SCOPED_TRACE(shape.label);
     Relation rel = MakeRandomRelation(1600, shape, 17);
-    if (rel.num_attrs() < 2) continue;
-    StrippedPartition a = StrippedPartition::Build(rel, 0);
-    StrippedPartition b = StrippedPartition::Build(rel, 1);
-    CompressedPartition ca = CompressedPartition::Encode(a);
     PartitionScratch scratch;
-
     StrippedPartition want;
-    StrippedPartition::IntersectInto(a, b, &scratch, &want);
     StrippedPartition got;
-    StrippedPartition::IntersectInto(ca, b, &scratch, &got);
-    ExpectIdentical(got, want);
-
-    // Swap roles so the compressed side takes the other probe branch.
-    CompressedPartition cb = CompressedPartition::Encode(b);
-    StrippedPartition want2;
-    StrippedPartition::IntersectInto(b, a, &scratch, &want2);
-    StrippedPartition got2;
-    StrippedPartition::IntersectInto(cb, a, &scratch, &got2);
-    ExpectIdentical(got2, want2);
-
-    StrippedPartition refined_want;
-    StrippedPartition::RefineInto(a, rel.Column(1), rel.dict().size(), &scratch,
-                                  &refined_want);
-    StrippedPartition refined_got;
-    StrippedPartition::RefineInto(ca, rel.Column(1), rel.dict().size(),
-                                  &scratch, &refined_got);
-    ExpectIdentical(refined_got, refined_want);
-
-    for (int64_t max_error : {int64_t{0}, int64_t{5},
-                              std::numeric_limits<int64_t>::max()}) {
-      int64_t err_want =
-          StrippedPartition::IntersectError(a, b, &scratch, max_error);
-      int64_t err_got =
-          StrippedPartition::IntersectError(ca, b, &scratch, max_error);
-      if (max_error == std::numeric_limits<int64_t>::max()) {
-        EXPECT_EQ(err_got, err_want) << shape.label;
-      } else {
-        // Early-exit values only promise "both over" or exact equality.
-        EXPECT_EQ(err_got > max_error, err_want > max_error) << shape.label;
-        if (err_want <= max_error) {
-          EXPECT_EQ(err_got, err_want) << shape.label;
-        }
+    for (AttrId a = 0; a < rel.num_attrs(); ++a) {
+      StrippedPartition flat = StrippedPartition::Build(rel, a);
+      CompressedPartition comp = CompressedPartition::Encode(flat);
+      for (AttrId c = 0; c < rel.num_attrs(); ++c) {
+        if (c == a) continue;
+        StrippedPartition::RefineInto(flat, rel.Column(c), rel.dict().size(),
+                                      &scratch, &want);
+        StrippedPartition::RefineInto(comp, rel.Column(c), rel.dict().size(),
+                                      &scratch, &got);
+        ExpectIdentical(got, want);
       }
     }
   }
