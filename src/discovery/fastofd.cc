@@ -259,11 +259,19 @@ FastOfdResult FastOfd::Discover() {
       }
     }
 
+    // The parent level was only needed for candidate sets and validation;
+    // free its partitions before the next level's are built.
+    prev.clear();
+
     // calculateNextLevel(L_l): prefix blocks — two sets combine iff they
-    // share all attributes except their highest one. The partition products
-    // of distinct children are independent, so they are computed in
-    // parallel when num_threads > 1.
+    // share all attributes except their highest one. Every l-subset of the
+    // combined set is in `cur`, so its partition is built by refining the
+    // parent with the fewest stripped rows by the one column it lacks:
+    // Π*_X = Π*_{X∖a} · Π_a, with the column's dictionary codes as the
+    // split key. The refinements of distinct children are independent, so
+    // they are computed in parallel when num_threads > 1.
     Level next;
+    int64_t product_rows = 0;
     if (level < n && level < config_.max_level) {
       std::unordered_map<uint64_t, std::vector<AttrSet>> blocks;
       for (const auto& [attrs, _] : cur) {
@@ -273,8 +281,8 @@ FastOfdResult FastOfd::Discover() {
       }
       struct Pending {
         AttrSet combined;
-        const Node* left;
-        const Node* right;
+        const StrippedPartition* parent;  // Smallest l-subset's partition.
+        AttrId attr;                      // combined = parent's set ∪ {attr}.
       };
       std::vector<Pending> pending;
       for (auto& [_, members] : blocks) {
@@ -283,12 +291,21 @@ FastOfdResult FastOfd::Discover() {
           for (size_t j = i + 1; j < members.size(); ++j) {
             AttrSet combined = members[i].Union(members[j]);
             if (next.count(combined)) continue;
-            // All l-subsets must be present (respects pruning).
+            // All l-subsets must be present (respects pruning); the
+            // smallest one is the parent to refine (ties: lowest attr).
             bool ok = true;
+            const StrippedPartition* parent = nullptr;
+            AttrId attr = 0;
             for (AttrId a : combined.ToVector()) {
-              if (!cur.count(combined.Without(a))) {
+              auto it = cur.find(combined.Without(a));
+              if (it == cur.end()) {
                 ok = false;
                 break;
+              }
+              const StrippedPartition& sub = it->second.partition;
+              if (parent == nullptr || sub.sum_sizes() < parent->sum_sizes()) {
+                parent = &sub;
+                attr = a;
               }
             }
             if (!ok) continue;
@@ -303,7 +320,8 @@ FastOfdResult FastOfd::Discover() {
               next.emplace(combined, std::move(node));
             } else {
               next.emplace(combined, Node{});  // Reserve; filled below.
-              pending.push_back(Pending{combined, &left, &right});
+              pending.push_back(Pending{combined, parent, attr});
+              product_rows += parent->sum_sizes();
             }
           }
         }
@@ -317,17 +335,12 @@ FastOfdResult FastOfd::Discover() {
                   return x.combined < y.combined;
                 });
       ScopedTimer products_timer(&metrics, "discover.products.seconds");
-      // Level-wide task parallelism: one task per product, every pending
-      // node in flight at once. A product whose operands are large splits
-      // *itself* further — ProductParallel's chunks become nested, stealable
-      // subtasks — so both levels of parallelism compose instead of the old
-      // either/or (wide across products XOR wide inside one product).
+      // Level-wide task parallelism: one task per refinement, every pending
+      // node in flight at once.
       OrderedReduce<StrippedPartition>(
           pool, pending.size(), /*grain=*/1,
           [&](size_t i, int) {
-            const Pending& p = pending[i];
-            return StrippedPartition::ProductParallel(p.left->partition,
-                                                      p.right->partition, pool);
+            return StrippedPartition::Refine(*pending[i].parent, rel_, pending[i].attr);
           },
           [&](size_t i, StrippedPartition part) {
             const Pending& p = pending[i];
@@ -345,6 +358,8 @@ FastOfdResult FastOfd::Discover() {
     metrics.Add("discover.nodes", stats.nodes);
     metrics.Add("discover.candidates_checked", stats.candidates_checked);
     metrics.Add("discover.ofds_found", stats.ofds_found);
+    // Rows the level's refinements split: the products layer's work.
+    metrics.Add("discover.products.rows", product_rows);
     result.candidates_checked += stats.candidates_checked;
     result.level_stats.push_back(stats);
     prev = std::move(cur);

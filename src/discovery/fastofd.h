@@ -10,6 +10,11 @@
 // reduction) skips sense-intersection work for equivalence classes whose
 // consequent values are syntactically equal.
 //
+// calculateNextLevel builds each child's stripped partition by refining its
+// smallest parent (fewest stripped rows) by the one column it lacks; the
+// paper's product of two prefix-block siblings gives the same classes at a
+// higher cost.
+//
 // Setting min_support < 1 discovers approximate OFDs (support s(φ) ≥ κ·|I|):
 // per equivalence class the best interpretation covers the most tuples, and
 // support is monotone under antecedent augmentation, so the same pruning
@@ -86,8 +91,11 @@ struct FastOfdResult {
   std::vector<LevelStats> level_stats;
   int64_t candidates_checked = 0;
   /// Cells touched by sense-intersection verification (work Opt-4 avoids).
+  /// A failing candidate stops at its first failing class, so this depends
+  /// on the class order of the lattice partitions, not only on the data.
   int64_t values_scanned = 0;
-  /// Stripped-partition products computed (work Opt-3 avoids).
+  /// Stripped-partition products computed, each as one parent refined by
+  /// one column (work Opt-3 avoids).
   int64_t partition_products = 0;
 };
 

@@ -2,9 +2,12 @@
 //
 // A partition Π_X groups tuples with equal X-values into equivalence
 // classes; the *stripped* partition Π*_X drops singleton classes, which can
-// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). Products of
-// stripped partitions are computed with the linear probe-table algorithm, so
-// level-wise lattice search costs O(rows) per candidate.
+// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). A product
+// with a single attribute is a refinement: RefineInto splits each class of
+// Π*_X by the attribute's dictionary-coded column, so level-wise lattice
+// search builds each node from one parent in O(||Π*_parent||). Products of
+// two arbitrary partitions (IntersectInto) use the linear probe-table
+// algorithm.
 //
 // Memory layout: one contiguous RowId buffer holding every class's rows
 // back to back, plus a class-offset array (class i spans
@@ -31,7 +34,6 @@
 
 namespace fastofd {
 
-class ThreadPool;           // exec/thread_pool.h
 class CompressedPartition;  // relation/compressed_partition.h
 
 /// Read-only view of one equivalence class: a contiguous, strictly
@@ -203,14 +205,6 @@ class StrippedPartition {
   /// The returned value is exact when <= max_error.
   static int64_t IntersectError(const StrippedPartition& a, const StrippedPartition& b,
                                 PartitionScratch* scratch, int64_t max_error);
-
-  /// Product on `pool` for large operands: the outer side's classes are
-  /// chunked across workers and the per-chunk arenas concatenated in class
-  /// order, so the result is byte-identical to IntersectInto for any thread
-  /// count. Falls back to the serial kernel for small inputs or a null /
-  /// single-threaded pool.
-  static StrippedPartition ProductParallel(const StrippedPartition& a,
-                                           const StrippedPartition& b, ThreadPool* pool);
 
   /// The stripped partition of a superkey: no classes at all.
   static StrippedPartition Empty(int64_t num_rows) {

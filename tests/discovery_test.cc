@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "discovery/fastofd.h"
 #include "discovery/fd_baselines.h"
@@ -397,6 +398,23 @@ TEST(FastOfdTest, ApproximateDiscoveryIsMonotoneInSupport) {
     StrippedPartition p = StrippedPartition::BuildForSet(inst.rel, ofd.lhs);
     EXPECT_GE(verifier.Support(ofd, p), 0.8);
   }
+}
+
+TEST(FastOfdTest, ProductRowsCounterBoundsRefinementWork) {
+  OfdInstance inst = RandomOfdInstance(2024, 6, 120);
+  SynonymIndex index(inst.ontology, inst.rel.dict());
+  MetricsRegistry metrics;
+  FastOfdConfig cfg;
+  cfg.metrics = &metrics;
+  FastOfdResult result = FastOfd(inst.rel, index, cfg).Discover();
+  MetricsSnapshot snap = metrics.Snapshot();
+  // Each product refines one parent, which holds at most every row.
+  ASSERT_EQ(snap.counters.count("discover.products.rows"), 1u);
+  const int64_t rows = snap.Counter("discover.products.rows");
+  ASSERT_GT(result.partition_products, 0);
+  EXPECT_GT(rows, 0);
+  EXPECT_LE(rows, result.partition_products * inst.rel.num_rows());
+  EXPECT_EQ(snap.Counter("discover.partition_products"), result.partition_products);
 }
 
 TEST(FastOfdTest, InheritanceDiscoveryRuns) {

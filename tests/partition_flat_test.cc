@@ -1,8 +1,8 @@
 // Property tests for the flat partition kernels: IntersectInto / RefineInto /
 // IntersectError against a naive map-based reference on randomized relations
-// (all-singleton, all-one-class, and ragged class-size shapes), byte-identical
-// ProductParallel output across thread counts, flat-layout audit coverage,
-// and the PartitionCache eviction-at-budget contract.
+// (all-singleton, all-one-class, and ragged class-size shapes), refinement of
+// any lattice parent against the product and the direct build, flat-layout
+// audit coverage, and the PartitionCache eviction-at-budget contract.
 
 #include <cstdint>
 #include <limits>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "exec/thread_pool.h"
 #include "relation/compressed_partition.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
@@ -151,22 +150,48 @@ TEST(FlatKernelPropertyTest, MatchesNaiveReferenceAcrossShapes) {
   }
 }
 
-TEST(FlatKernelPropertyTest, ProductParallelIsByteIdenticalAcrossThreadCounts) {
-  // Large enough to clear the parallel-dispatch threshold (1 << 14 rows).
-  Relation rel = MakeRandomRelation(20000, {"mid", {64, 97}}, 77);
-  StrippedPartition fa = StrippedPartition::Build(rel, 0);
-  StrippedPartition fb = StrippedPartition::Build(rel, 1);
-  StrippedPartition serial = StrippedPartition::Product(fa, fb);
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadPool pool(threads);
-    StrippedPartition par = StrippedPartition::ProductParallel(fa, fb, &pool);
-    // Byte-identical, not just canonically equal: same class order, same
-    // arena contents, for any thread count.
-    EXPECT_EQ(par.ToClassVectors(), serial.ToClassVectors());
-    EXPECT_EQ(par.num_classes(), serial.num_classes());
-    EXPECT_EQ(par.sum_sizes(), serial.sum_sizes());
-    EXPECT_TRUE(par.AuditInvariants(rel, AttrSet::Of({0, 1})).ok());
+// Wider relations for the lattice-refinement property: every density regime
+// the kernels meet, with enough attributes for |X| up to 4.
+const ColumnShape kShapes[] = {
+    {"dense-low-card", {4, 4, 4, 4, 4}},
+    {"mid-card", {16, 16, 16, 16, 16}},
+    {"mixed", {2, 7, 40, 3, 300}},
+    {"singleton-column", {3, 0, 5, 2, 4}},
+    {"one-class-column", {6, 1, 6, 1, 6}},
+};
+
+// Discovery builds Π*_X by refining one (l-1)-subset's partition with the
+// column it lacks. Whichever parent is picked, the result must equal the
+// direct build and the probe-table product of any two parents.
+TEST(FlatKernelPropertyTest, RefineOfAnyParentMatchesProduct) {
+  for (const ColumnShape& shape : kShapes) {
+    SCOPED_TRACE(shape.label);
+    Relation rel = MakeRandomRelation(600, shape, 4242);
+    Rng rng(99);
+    for (int trial = 0; trial < 12; ++trial) {
+      // A random X with 2..4 attributes.
+      const int size = 2 + trial % 3;
+      AttrSet x;
+      while (x.size() < size) {
+        x = x.With(static_cast<AttrId>(rng.NextUint(shape.cardinalities.size())));
+      }
+      SCOPED_TRACE("mask=" + std::to_string(x.mask()));
+      const std::vector<std::vector<RowId>> expected =
+          Canonical(StrippedPartition::BuildForSet(rel, x));
+      EXPECT_EQ(expected, NaiveClasses(rel, x));
+      for (AttrId a : x.ToVector()) {
+        StrippedPartition parent = StrippedPartition::BuildForSet(rel, x.Without(a));
+        StrippedPartition refined = StrippedPartition::Refine(parent, rel, a);
+        EXPECT_EQ(Canonical(refined), expected) << "refine by " << a;
+        EXPECT_TRUE(refined.AuditInvariants(rel, x).ok()) << "refine by " << a;
+        for (AttrId b : x.ToVector()) {
+          if (b == a) continue;
+          StrippedPartition other = StrippedPartition::BuildForSet(rel, x.Without(b));
+          EXPECT_EQ(Canonical(StrippedPartition::Product(parent, other)), expected)
+              << "product of parents without " << a << " and " << b;
+        }
+      }
+    }
   }
 }
 
