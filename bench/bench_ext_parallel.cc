@@ -4,7 +4,9 @@
 // output is identical for any thread count (asserted in tests). This harness
 // sweeps thread counts through a shared ThreadPool and reports per-phase
 // times (candidate validation vs. partition products) from the metrics
-// registry instead of ad-hoc timers.
+// registry instead of ad-hoc timers. The default 200K rows keep the serial
+// products phase near a second, so `products_x` is not lost in timer and
+// scheduler noise.
 //
 //   bench_ext_parallel [--rows N] [--seed S]
 
@@ -24,7 +26,7 @@ using namespace fastofd::bench;
 
 int main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  int rows = static_cast<int>(flags.GetInt("rows", 20000));
+  int rows = static_cast<int>(flags.GetInt("rows", 200000));
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 25));
 
   Banner("Ext-par", "parallel candidate verification speedup", "extension");

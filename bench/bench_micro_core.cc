@@ -1,14 +1,14 @@
 // Micro-benchmarks for the hot primitives underneath every experiment:
-// the flat partition kernels (build, intersect, refine, error count) against
-// an in-binary transcription of the legacy vector-of-vectors implementation,
-// plus the other per-class primitives (OFD closure, synonym verification,
+// the flat partition kernels (build, refine) against an in-binary
+// transcription of the legacy vector-of-vectors implementation, plus the
+// other per-class primitives (OFD closure, synonym verification,
 // approximate support, EMD, initial sense assignment).
 //
 // The legacy-vs-flat table makes the kernel speedup machine-independent:
 // both sides run in the same process on the same data, so the `speedup`
 // column is a ratio the CI bench gate can enforce (tools/bench_gate.py
-// requires >= 2x on the intersection ops) without caring how fast the
-// runner is.
+// requires >= 2x on refine, the one partition product) without caring how
+// fast the runner is.
 //
 //   bench_micro_core [--rows N] [--iters K] [--smoke] [--json=PATH]
 
@@ -154,15 +154,9 @@ int main(int argc, char** argv) {
     const Relation& rel = data.rel;
 
     LegacyPartition la = LegacyBuild(rel, 0);
-    LegacyPartition lb = LegacyBuild(rel, 1);
     StrippedPartition fa = StrippedPartition::Build(rel, 0);
-    StrippedPartition fb = StrippedPartition::Build(rel, 1);
     PartitionScratch scratch;
     StrippedPartition out;
-    // Warm the scratch + output arena once so the flat columns measure
-    // steady-state (zero-allocation) kernel cost, which is what the lattice
-    // loop sees after its first product.
-    StrippedPartition::IntersectInto(fa, fb, &scratch, &out);
 
     auto add_row = [&](const char* op, double legacy_ms, double flat_ms) {
       kernels.AddRow({op, Fmt("%d", rows), Fmt("%.3f", legacy_ms),
@@ -180,17 +174,10 @@ int main(int argc, char** argv) {
     });
     add_row("build", legacy_build, flat_build);
 
-    double legacy_product = MinMs(iters, [&] {
-      LegacyPartition p = LegacyProduct(la, lb);
-      if (p.num_rows < 0) std::abort();
-    });
-    double flat_product = MinMs(iters, [&] {
-      StrippedPartition::IntersectInto(fa, fb, &scratch, &out);
-    });
-    add_row("product", legacy_product, flat_product);
-
     // Refinement by a column: legacy needs the column's own partition plus a
-    // product; the flat kernel groups by value id directly.
+    // product; the flat kernel groups by value id directly, into a reused
+    // `out` (the minimum over iterations is the warmed, zero-allocation run
+    // the lattice loop sees).
     double legacy_refine = MinMs(iters, [&] {
       LegacyPartition p = LegacyProduct(la, LegacyBuild(rel, 1));
       if (p.num_rows < 0) std::abort();
@@ -200,20 +187,6 @@ int main(int argc, char** argv) {
                                     &scratch, &out);
     });
     add_row("refine", legacy_refine, flat_refine);
-
-    // Error count with the approximate-verification cutoff: the legacy path
-    // materializes the full product; the flat kernel counts and aborts once
-    // the threshold is crossed.
-    const int64_t threshold = rows / 100;
-    double legacy_error = MinMs(iters, [&] {
-      LegacyPartition p = LegacyProduct(la, lb);
-      if (p.error() < 0) std::abort();
-    });
-    double flat_error = MinMs(iters, [&] {
-      int64_t e = StrippedPartition::IntersectError(fa, fb, &scratch, threshold);
-      if (e < 0) std::abort();
-    });
-    add_row("error", legacy_error, flat_error);
   }
   kernels.Print();
   WriteJsonIfRequested(flags, "micro_partition", kernels);
@@ -290,8 +263,8 @@ int main(int argc, char** argv) {
   WriteJsonIfRequested(flags, "micro_primitives", prims);
 
   std::printf("expected shape: the flat arena wins on every kernel op — no\n"
-              "per-class heap allocation, probe scratch reused across calls —\n"
-              "with `speedup` >= 2 on the intersection ops (product, refine,\n"
-              "error), which tools/bench_gate.py enforces in CI.\n");
+              "per-class heap allocation, refine scratch reused across calls —\n"
+              "with `speedup` >= 2 on refine, which tools/bench_gate.py\n"
+              "enforces in CI.\n");
   return 0;
 }

@@ -8,7 +8,6 @@
 // transversal/maximality bookkeeping.
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -28,15 +27,15 @@ class Dfd : public FdAlgorithm {
 
   FdResult Discover(const Relation& rel) override {
     FdResult result;
-    rel_ = &rel;
-    partitions_.clear();
+    PartitionCache partitions(rel);
+    partitions_ = &partitions;
     work_ = 0;
     Rng rng(0xDFD);
     const int n = rel.num_attrs();
 
     for (AttrId a = 0; a < n; ++a) {
       AttrSet universe = AttrSet::All(n).Without(a);
-      if (Partition(AttrSet::Single(a)).full_num_classes() == 1) {
+      if (partitions.Get(AttrSet::Single(a))->full_num_classes() == 1) {
         result.fds.push_back(Ofd{AttrSet(), a, OfdKind::kSynonym});
         continue;
       }
@@ -73,6 +72,7 @@ class Dfd : public FdAlgorithm {
         result.fds.push_back(Ofd{x, a, OfdKind::kSynonym});
       }
     }
+    partitions_ = nullptr;
     result.work = work_;
     std::sort(result.fds.begin(), result.fds.end());
     return result;
@@ -81,27 +81,11 @@ class Dfd : public FdAlgorithm {
  private:
   bool IsDependency(AttrSet lhs, AttrId rhs) {
     ++work_;
-    return Partition(lhs).error() == Partition(lhs.With(rhs)).error();
+    return partitions_->Get(lhs)->error() == partitions_->Get(lhs.With(rhs))->error();
   }
 
-  const StrippedPartition& Partition(AttrSet x) {
-    auto it = partitions_.find(x);
-    if (it != partitions_.end()) return it->second;
-    StrippedPartition p;
-    if (x.size() <= 1) {
-      p = StrippedPartition::BuildForSet(*rel_, x);
-    } else {
-      AttrId first = x.First();
-      const StrippedPartition& rest = Partition(x.Without(first));
-      // Refine directly by the column: skips building the single-attribute
-      // partition that Product would need.
-      p = StrippedPartition::Refine(rest, *rel_, first);
-    }
-    return partitions_.emplace(x, std::move(p)).first->second;
-  }
-
-  const Relation* rel_ = nullptr;
-  std::unordered_map<AttrSet, StrippedPartition, AttrSetHash> partitions_;
+  // This Discover() call's partitions, each refined from its cached prefix.
+  PartitionCache* partitions_ = nullptr;
   int64_t work_ = 0;
 };
 

@@ -30,6 +30,15 @@ std::vector<std::string> FdAlgorithmNames() {
   return {"tane", "fun", "fdmine", "dfd", "depminer", "fastfds", "fdep"};
 }
 
+StrippedPartition RefineSmallerSibling(const Relation& rel, AttrSet x,
+                                       const StrippedPartition& px, AttrSet y,
+                                       const StrippedPartition& py) {
+  if (py.sum_sizes() < px.sum_sizes()) {
+    return StrippedPartition::Refine(py, rel, x.Minus(y).First());
+  }
+  return StrippedPartition::Refine(px, rel, y.Minus(x).First());
+}
+
 FdResult BruteForceFds(const Relation& rel) {
   FdResult result;
   const int n = rel.num_attrs();

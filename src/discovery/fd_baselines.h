@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "ofd/ofd.h"
+#include "relation/partition.h"
 #include "relation/relation.h"
 
 namespace fastofd {
@@ -51,6 +52,14 @@ std::unique_ptr<FdAlgorithm> MakeFdAlgorithm(const std::string& name);
 
 /// All registered algorithm names, in the paper's order.
 std::vector<std::string> FdAlgorithmNames();
+
+/// Π*_{X ∪ Y} for two siblings of one lattice level (X ∪ Y adds exactly one
+/// attribute to each): refines the sibling with fewer stripped rows (ties go
+/// to `x`) by the column the other one adds. The level-wise baselines (TANE,
+/// FDMine) build every next-level node this way.
+StrippedPartition RefineSmallerSibling(const Relation& rel, AttrSet x,
+                                       const StrippedPartition& px, AttrSet y,
+                                       const StrippedPartition& py);
 
 /// Reference implementation: brute-force minimal FDs by enumerating every
 /// candidate and checking it with partitions. For tests only (exponential).

@@ -74,8 +74,8 @@ class FdMine : public FdAlgorithm {
               AttrSet combined = members[i].Union(members[j]);
               if (next.count(combined)) continue;
               next.emplace(combined,
-                           StrippedPartition::Product(cur.at(members[i]),
-                                                      cur.at(members[j])));
+                           RefineSmallerSibling(rel, members[i], cur.at(members[i]),
+                                                members[j], cur.at(members[j])));
             }
           }
         }

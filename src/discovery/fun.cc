@@ -23,8 +23,8 @@ class Fun : public FdAlgorithm {
   FdResult Discover(const Relation& rel) override {
     FdResult result;
     const int n = rel.num_attrs();
-    rel_ = &rel;
-    partitions_.clear();
+    PartitionCache partitions(rel);
+    partitions_ = &partitions;
     cards_.clear();
     work_ = 0;
 
@@ -96,6 +96,7 @@ class Fun : public FdAlgorithm {
       level = std::move(next);
     }
 
+    partitions_ = nullptr;
     result.work = work_;
     std::sort(result.fds.begin(), result.fds.end());
     result.fds.erase(std::unique(result.fds.begin(), result.fds.end()),
@@ -108,30 +109,13 @@ class Fun : public FdAlgorithm {
   int64_t Card(AttrSet x) {
     auto it = cards_.find(x);
     if (it != cards_.end()) return it->second;
-    const StrippedPartition& p = Partition(x);
-    int64_t card = p.full_num_classes();
+    int64_t card = partitions_->Get(x)->full_num_classes();
     cards_.emplace(x, card);
     return card;
   }
 
-  const StrippedPartition& Partition(AttrSet x) {
-    auto it = partitions_.find(x);
-    if (it != partitions_.end()) return it->second;
-    StrippedPartition p;
-    if (x.size() <= 1) {
-      p = StrippedPartition::BuildForSet(*rel_, x);
-    } else {
-      AttrId first = x.First();
-      const StrippedPartition& rest = Partition(x.Without(first));
-      // Refine directly by the column: skips building the single-attribute
-      // partition that Product would need.
-      p = StrippedPartition::Refine(rest, *rel_, first);
-    }
-    return partitions_.emplace(x, std::move(p)).first->second;
-  }
-
-  const Relation* rel_ = nullptr;
-  std::unordered_map<AttrSet, StrippedPartition, AttrSetHash> partitions_;
+  // This Discover() call's partitions, each refined from its cached prefix.
+  PartitionCache* partitions_ = nullptr;
   std::unordered_map<AttrSet, int64_t, AttrSetHash> cards_;
   int64_t work_ = 0;
 };

@@ -122,8 +122,9 @@ class Tane : public FdAlgorithm {
               }
               if (!ok) continue;
               TaneNode node;
-              node.partition = StrippedPartition::Product(
-                  cur.at(members[i]).partition, cur.at(members[j]).partition);
+              node.partition =
+                  RefineSmallerSibling(rel, members[i], cur.at(members[i]).partition,
+                                       members[j], cur.at(members[j]).partition);
               next.emplace(combined, std::move(node));
             }
           }

@@ -19,8 +19,8 @@
 //     deque (FIFO, so the oldest — typically largest — task migrates);
 //   * tasks belong to TaskGroups (exec/task_group.h) which support nested
 //     submission: a task may open its own group, submit subtasks, and
-//     help-execute them while waiting, which is how one huge partition
-//     product splits itself while its sibling products run;
+//     help-execute them while waiting, so one large task can split itself
+//     while its siblings run;
 //   * there is no per-job mutex: tasks from concurrent callers interleave
 //     at task granularity instead of whole jobs queueing behind each other.
 //

@@ -95,15 +95,12 @@ class CompressedPartition {
   };
 
   // Statistics mirrored from the flat form (so discovery-side pruning —
-  // superkey / error / all-rows checks — never needs a decode).
+  // superkey / error checks — never needs a decode).
   int64_t num_classes() const { return num_classes_; }
   int64_t sum_sizes() const { return sum_sizes_; }
   int64_t num_rows() const { return num_rows_; }
   int64_t error() const { return sum_sizes_ - num_classes_; }
   bool IsSuperkey() const { return num_classes_ == 0; }
-  bool IsAllRowsClass() const {
-    return num_classes_ == 1 && sum_sizes_ == num_rows_;
-  }
 
   /// Encoded stream bytes (owned or viewed) — what the cache budget charges.
   int64_t EncodedBytes() const { return static_cast<int64_t>(stream_size()); }

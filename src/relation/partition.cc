@@ -108,9 +108,8 @@ Status StrippedPartition::AuditStrippedPartitionParts(
                       " != actual " + std::to_string(total));
   }
   // Deep cross-check on small inputs: rebuild the partition naively and
-  // compare class-by-class. This re-validates the Build/Intersect/Refine
-  // fold (the probe-table product law Π*_X · Π*_Y = Π*_{X∪Y}) from first
-  // principles.
+  // compare class-by-class. This re-validates the Build/Refine fold (the
+  // product law Π*_X · Π*_A = Π*_{X∪A}) from first principles.
   if (num_rows <= audit::kDeepAuditMaxRows) {
     std::map<std::vector<ValueId>, std::vector<RowId>> naive;
     for (RowId r = 0; r < static_cast<RowId>(num_rows); ++r) {
@@ -217,13 +216,6 @@ StrippedPartition StrippedPartition::BuildForSet(const Relation& rel, AttrSet at
   return p;
 }
 
-StrippedPartition StrippedPartition::Product(const StrippedPartition& a,
-                                             const StrippedPartition& b) {
-  StrippedPartition out;
-  IntersectInto(a, b, &ThreadLocalScratch(), &out);
-  return out;
-}
-
 StrippedPartition StrippedPartition::Refine(const StrippedPartition& a,
                                             const Relation& rel, AttrId attr) {
   StrippedPartition out;
@@ -274,52 +266,9 @@ void StrippedPartition::SplitClass(RowSpan cls, const int32_t* key,
   touched.clear();
 }
 
-void StrippedPartition::IntersectInto(const StrippedPartition& a,
-                                      const StrippedPartition& b,
-                                      PartitionScratch* scratch,
-                                      StrippedPartition* out) {
-  FASTOFD_CHECK(a.num_rows_ == b.num_rows_);
-  FASTOFD_CHECK(out != &a && out != &b);
-  out->num_rows_ = a.num_rows_;
-  out->rows_.clear();
-  out->offsets_.clear();
-  if (a.IsSuperkey() || b.IsSuperkey()) return;  // Product with ⊥ is ⊥.
-  if (a.IsAllRowsClass()) {  // Product with the identity copies the operand.
-    out->rows_ = b.rows_;
-    out->offsets_ = b.offsets_;
-    return;
-  }
-  if (b.IsAllRowsClass()) {
-    out->rows_ = a.rows_;
-    out->offsets_ = a.offsets_;
-    return;
-  }
-  // Probe from the smaller side: the probe table costs one write per
-  // probe-side row, so putting the bigger operand on the outer loop keeps
-  // total work at min + max instead of 2 * max.
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
-  scratch->EnsureKeys(probe_side.NumClassesSize());
-  std::vector<int32_t>& probe = scratch->probe_;
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  for (RowSpan cls : outer.classes()) {
-    SplitClass(cls, probe.data(), scratch, &out->rows_, &out->offsets_);
-  }
-  // Reset only the touched probe entries so the next call starts clean
-  // without an O(num_rows) clear.
-  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
-}
-
-// Refinement is a product whose probe table is the column itself: value ids
-// are never negative, so no row is stripped up front and the column's own
-// partition is never built.
+// Refinement keys the split by the column itself: value ids are never
+// negative, so no row is stripped up front and the column's own partition
+// is never built.
 void StrippedPartition::RefineInto(const StrippedPartition& a,
                                    const std::vector<ValueId>& column,
                                    size_t num_values, PartitionScratch* scratch,
@@ -345,51 +294,6 @@ void StrippedPartition::RefineInto(const CompressedPartition& a,
   for (CompressedPartition::Cursor cur(a); cur.Next();) {
     SplitClass(cur.rows(), column.data(), scratch, &out->rows_, &out->offsets_);
   }
-}
-
-int64_t StrippedPartition::IntersectError(const StrippedPartition& a,
-                                          const StrippedPartition& b,
-                                          PartitionScratch* scratch,
-                                          int64_t max_error) {
-  FASTOFD_CHECK(a.num_rows_ == b.num_rows_);
-  if (a.IsSuperkey() || b.IsSuperkey()) return 0;
-  if (a.IsAllRowsClass()) return b.error();
-  if (b.IsAllRowsClass()) return a.error();
-  const bool a_probes = a.sum_sizes() <= b.sum_sizes();
-  const StrippedPartition& probe_side = a_probes ? a : b;
-  const StrippedPartition& outer = a_probes ? b : a;
-  scratch->EnsureRows(static_cast<size_t>(a.num_rows_));
-  scratch->EnsureKeys(probe_side.NumClassesSize());
-  std::vector<int32_t>& probe = scratch->probe_;
-  const size_t num_probe_classes = probe_side.NumClassesSize();
-  for (size_t ci = 0; ci < num_probe_classes; ++ci) {
-    for (RowId r : probe_side.Class(ci)) {
-      probe[static_cast<size_t>(r)] = static_cast<int32_t>(ci);
-    }
-  }
-  std::vector<int32_t>& counts = scratch->counts_;
-  std::vector<int32_t>& touched = scratch->touched_;
-  int64_t err = 0;
-  const size_t num_outer = outer.NumClassesSize();
-  for (size_t oc = 0; oc < num_outer && err <= max_error; ++oc) {
-    const uint32_t begin = outer.offsets_[oc];
-    const uint32_t end = outer.offsets_[oc + 1];
-    for (uint32_t k = begin; k < end; ++k) {
-      int32_t ci = probe[static_cast<size_t>(outer.rows_[k])];
-      if (ci < 0) continue;
-      if (counts[static_cast<size_t>(ci)]++ == 0) touched.push_back(ci);
-    }
-    for (int32_t ci : touched) {
-      int32_t c = counts[static_cast<size_t>(ci)];
-      if (c >= 2) err += c - 1;
-      counts[static_cast<size_t>(ci)] = 0;
-    }
-    touched.clear();
-  }
-  // err is exact when <= max_error; any larger value only signals "over
-  // threshold" (the remaining outer classes were skipped).
-  for (RowId r : probe_side.rows()) probe[static_cast<size_t>(r)] = -1;
-  return err;
 }
 
 PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,

@@ -2,18 +2,17 @@
 //
 // A partition Π_X groups tuples with equal X-values into equivalence
 // classes; the *stripped* partition Π*_X drops singleton classes, which can
-// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). A product
-// with a single attribute is a refinement: RefineInto splits each class of
-// Π*_X by the attribute's dictionary-coded column, so level-wise lattice
-// search builds each node from one parent in O(||Π*_parent||). Products of
-// two arbitrary partitions (IntersectInto) use the linear probe-table
-// algorithm.
+// never violate an FD or OFD (paper Lemma 3.8 / Opt-4 context). The one
+// partition product is refinement: RefineInto splits each class of Π*_X by
+// an attribute's dictionary-coded column, so every lattice miner builds
+// Π*_{X∪A} from one parent in O(||Π*_X||) and never materializes the
+// column's own partition.
 //
 // Memory layout: one contiguous RowId buffer holding every class's rows
 // back to back, plus a class-offset array (class i spans
 // rows[offsets[i], offsets[i+1])). No per-class heap allocation, cache-line
-// friendly scans, and a PartitionScratch probe table that lets
-// IntersectInto/RefineInto run with zero allocations in steady state. See
+// friendly scans, and a PartitionScratch of per-value counters that lets
+// RefineInto run with zero allocations in steady state. See
 // docs/architecture.md ("Flat partition kernels") for the full picture.
 
 #ifndef FASTOFD_RELATION_PARTITION_H_
@@ -116,19 +115,16 @@ class ClassesView {
   size_t num_classes_;
 };
 
-/// Reusable probe-table scratch for the partition kernels. One scratch per
-/// thread: after warm-up, IntersectInto/RefineInto/IntersectError allocate
-/// nothing. StrippedPartition::ThreadLocalScratch() hands out a per-thread
-/// instance for call sites without their own.
+/// Reusable scratch for the refinement kernels. One scratch per thread:
+/// after warm-up, RefineInto allocates nothing.
+/// StrippedPartition::ThreadLocalScratch() hands out a per-thread instance
+/// for call sites without their own.
 ///
-/// Internals (all lazily grown, reset between calls by touched-lists so no
-/// O(capacity) clears happen on the hot path):
-///   probe      row -> class index in the probe-side partition, -1 if the
-///              row is stripped there (singleton).
-///   counts     per key: rows seen in the current class being split.
-///   slot       per key: output write cursor, -1 = dropped.
-/// A key is a probe-side class index (intersection) or a dictionary value
-/// id (column refinement); one set of counters serves both.
+/// Internals (lazily grown, reset between classes by a touched-list so no
+/// O(capacity) clears happen on the hot path), indexed by dictionary value
+/// id:
+///   counts     rows seen in the current class being split.
+///   slot       output write cursor, -1 = dropped.
 class PartitionScratch {
  public:
   PartitionScratch() = default;
@@ -138,9 +134,6 @@ class PartitionScratch {
  private:
   friend class StrippedPartition;
 
-  void EnsureRows(size_t num_rows) {
-    if (probe_.size() < num_rows) probe_.resize(num_rows, -1);
-  }
   void EnsureKeys(size_t num_keys) {
     if (counts_.size() < num_keys) {
       counts_.resize(num_keys, 0);
@@ -148,7 +141,6 @@ class PartitionScratch {
     }
   }
 
-  std::vector<int32_t> probe_;
   std::vector<int32_t> counts_;
   std::vector<int32_t> slot_;
   std::vector<int32_t> touched_;
@@ -168,22 +160,10 @@ class StrippedPartition {
   /// For an empty set, returns the single all-rows class (if rows >= 2).
   static StrippedPartition BuildForSet(const Relation& rel, AttrSet attrs);
 
-  /// Product Π*_X · Π*_Y via the probe-table algorithm (linear in the
-  /// stripped sizes of the operands). Convenience wrapper over
-  /// IntersectInto using the thread-local scratch.
-  static StrippedPartition Product(const StrippedPartition& a,
-                                   const StrippedPartition& b);
-
-  /// Core intersection kernel: computes a·b into `out` (which may be
-  /// reused across calls — its arena capacity is retained). Probes from the
-  /// smaller side, short-circuits superkeys and all-rows operands, and
-  /// performs zero allocations once `scratch` and `out` are warm.
-  static void IntersectInto(const StrippedPartition& a, const StrippedPartition& b,
-                            PartitionScratch* scratch, StrippedPartition* out);
-
-  /// Refines `a` in place by a dictionary-coded column: equivalent to
-  /// Product(a, Build(rel, attr)) but never materializes the column's own
-  /// partition. `num_values` bounds the column's value ids (dict size).
+  /// Refines `a` by a dictionary-coded column into `out` (which may be
+  /// reused across calls — its arena capacity is retained): Π*_a · Π*_attr
+  /// without materializing the column's own partition. `num_values` bounds
+  /// the column's value ids (dict size).
   /// The compressed overload walks `a` one class at a time with
   /// CompressedPartition::Cursor, so the cache refines cold prefixes without
   /// decoding them; its output is identical to the flat overload's.
@@ -198,14 +178,6 @@ class StrippedPartition {
   static StrippedPartition Refine(const StrippedPartition& a, const Relation& rel,
                                   AttrId attr);
 
-  /// TANE error e(a·b) = ||Π*_{a·b}|| - |Π*_{a·b}| without materializing the
-  /// product, aborting early once the error exceeds `max_error` (the
-  /// approximate-verification fast path: callers compare against a
-  /// threshold, so any value > max_error is as good as the exact one).
-  /// The returned value is exact when <= max_error.
-  static int64_t IntersectError(const StrippedPartition& a, const StrippedPartition& b,
-                                PartitionScratch* scratch, int64_t max_error);
-
   /// The stripped partition of a superkey: no classes at all.
   static StrippedPartition Empty(int64_t num_rows) {
     StrippedPartition p;
@@ -214,8 +186,8 @@ class StrippedPartition {
   }
 
   /// Per-thread PartitionScratch for the wrapper entry points; reusing it
-  /// across calls is what makes Product/Refine allocation-free in steady
-  /// state on every worker thread.
+  /// across calls is what makes Refine allocation-free in steady state on
+  /// every worker thread.
   static PartitionScratch& ThreadLocalScratch();
 
   /// Equivalence classes (row ids, ascending within a class); all sizes
@@ -251,12 +223,6 @@ class StrippedPartition {
   /// True iff X is a superkey (no class of size >= 2 remains).
   bool IsSuperkey() const { return rows_.empty(); }
 
-  /// True iff this is the single all-rows class (the empty attribute set's
-  /// partition) — the identity of the product.
-  bool IsAllRowsClass() const {
-    return num_classes() == 1 && sum_sizes() == num_rows_;
-  }
-
   /// Releases excess arena capacity (shrink-to-fit). The cache compacts
   /// entries before charging them so the budget pays for rows actually
   /// held, not the kernels' growth high-water mark.
@@ -277,8 +243,8 @@ class StrippedPartition {
   /// are pairwise disjoint, internally sorted, agreeing on every attribute
   /// of `attrs`, with consistent counters; on relations at or below
   /// audit::kDeepAuditMaxRows rows, additionally cross-checked class-by-
-  /// class against a naive rebuild — which re-validates the Build/Intersect/
-  /// Refine fold this partition came from. Returns the first violation.
+  /// class against a naive rebuild — which re-validates the Build/Refine
+  /// fold this partition came from. Returns the first violation.
   Status AuditInvariants(const Relation& rel, AttrSet attrs) const;
 
   /// The flat-layout audit body, exposed on raw parts so tests can feed
@@ -304,11 +270,11 @@ class StrippedPartition {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
-  // The one split loop behind every product kernel: splits `cls` by
+  // The split loop behind both RefineInto overloads: splits `cls` by
   // key[row], drops rows whose key is < 0, and appends each group of >= 2
   // rows to rows/offsets in first-touch order (deterministic, independent
-  // of how classes are chunked). Keys are probe-side class indices or
-  // dictionary value ids; the scratch must cover every key (EnsureKeys).
+  // of how classes are chunked). Keys are dictionary value ids; the scratch
+  // must cover every key (EnsureKeys).
   static void SplitClass(RowSpan cls, const int32_t* key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
 

@@ -64,9 +64,9 @@ TEST(PartitionAuditTest, HonestPartitionsPass) {
     EXPECT_TRUE(p.AuditInvariants(rel, AttrSet().With(a)).ok());
   }
   AttrSet both = AttrSet().With(0).With(1);
-  StrippedPartition product = StrippedPartition::Product(
-      StrippedPartition::Build(rel, 0), StrippedPartition::Build(rel, 1));
-  EXPECT_TRUE(product.AuditInvariants(rel, both).ok());
+  StrippedPartition refined =
+      StrippedPartition::Refine(StrippedPartition::Build(rel, 0), rel, 1);
+  EXPECT_TRUE(refined.AuditInvariants(rel, both).ok());
   EXPECT_TRUE(StrippedPartition::BuildForSet(rel, both)
                   .AuditInvariants(rel, both)
                   .ok());

@@ -1,11 +1,11 @@
-// Property tests for the flat partition kernels: IntersectInto / RefineInto /
-// IntersectError against a naive map-based reference on randomized relations
+// Property tests for the flat partition kernels: RefineInto and BuildForSet
+// against a naive map-based reference on randomized relations
 // (all-singleton, all-one-class, and ragged class-size shapes), refinement of
-// any lattice parent against the product and the direct build, flat-layout
-// audit coverage, and the PartitionCache eviction-at-budget contract.
+// any lattice parent against the direct build and the naive grouping,
+// flat-layout audit coverage, and the PartitionCache eviction-at-budget
+// contract.
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,15 +68,9 @@ std::vector<std::vector<RowId>> NaiveClasses(const Relation& rel, AttrSet attrs)
   return out;
 }
 
-int64_t NaiveError(const std::vector<std::vector<RowId>>& classes) {
-  int64_t sum = 0;
-  for (const auto& cls : classes) sum += static_cast<int64_t>(cls.size());
-  return sum - static_cast<int64_t>(classes.size());
-}
-
 // Canonical form of a flat partition for comparison: classes ordered by
 // first row (the kernels emit rows strictly ascending within a class, but
-// smaller-side probing can permute class order).
+// class order follows the refined parent).
 std::vector<std::vector<RowId>> Canonical(const StrippedPartition& p) {
   std::map<RowId, std::vector<RowId>> by_head;
   for (const auto& cls : p.ToClassVectors()) by_head[cls.front()] = cls;
@@ -110,42 +104,20 @@ TEST(FlatKernelPropertyTest, MatchesNaiveReferenceAcrossShapes) {
       PartitionScratch scratch;
       StrippedPartition out;
 
-      // Intersection kernel (run twice so the second call exercises the
-      // warmed, zero-allocation path into a dirty `out`).
+      // Refinement by the dictionary-coded column, no column partition. Run
+      // twice on one scratch and `out`: the second call takes the warmed,
+      // zero-allocation path into a dirty `out`, on counters the first call
+      // must have reset.
       for (int pass = 0; pass < 2; ++pass) {
-        StrippedPartition::IntersectInto(fa, fb, &scratch, &out);
-        EXPECT_EQ(Canonical(out), expected) << "intersect pass " << pass;
+        StrippedPartition::RefineInto(fa, rel.Column(1), rel.dict().size(),
+                                      &scratch, &out);
+        EXPECT_EQ(Canonical(out), expected) << "refine pass " << pass;
         EXPECT_TRUE(out.AuditInvariants(rel, both).ok());
       }
-
-      // Refinement by the dictionary-coded column, no column partition.
-      StrippedPartition::RefineInto(fa, rel.Column(1), rel.dict().size(),
-                                    &scratch, &out);
-      EXPECT_EQ(Canonical(out), expected) << "refine";
-      EXPECT_TRUE(out.AuditInvariants(rel, both).ok());
-
-      // Refinement keys the scratch counters by value id, intersection by
-      // probe-side class: the same counters must come back clean for the
-      // other use.
-      StrippedPartition::IntersectInto(fa, fb, &scratch, &out);
-      EXPECT_EQ(Canonical(out), expected) << "intersect after refine";
 
       // BuildForSet is the ping-pong refinement composition.
       StrippedPartition direct = StrippedPartition::BuildForSet(rel, both);
       EXPECT_EQ(Canonical(direct), expected) << "build-for-set";
-
-      // Error count without materializing: exact when unbounded...
-      const int64_t expected_error = NaiveError(expected);
-      EXPECT_EQ(StrippedPartition::IntersectError(
-                    fa, fb, &scratch, std::numeric_limits<int64_t>::max()),
-                expected_error);
-      // ...and any value > max_error is acceptable once the cutoff trips.
-      int64_t capped = StrippedPartition::IntersectError(fa, fb, &scratch, 0);
-      if (expected_error > 0) {
-        EXPECT_GT(capped, 0);
-      } else {
-        EXPECT_EQ(capped, 0);
-      }
     }
   }
 }
@@ -160,10 +132,10 @@ const ColumnShape kShapes[] = {
     {"one-class-column", {6, 1, 6, 1, 6}},
 };
 
-// Discovery builds Π*_X by refining one (l-1)-subset's partition with the
-// column it lacks. Whichever parent is picked, the result must equal the
-// direct build and the probe-table product of any two parents.
-TEST(FlatKernelPropertyTest, RefineOfAnyParentMatchesProduct) {
+// Every lattice miner builds Π*_X by refining one (l-1)-subset's partition
+// with the column it lacks. Whichever parent is picked, the result must
+// equal the direct build and the naive grouping.
+TEST(FlatKernelPropertyTest, RefineOfAnyParentMatchesNaive) {
   for (const ColumnShape& shape : kShapes) {
     SCOPED_TRACE(shape.label);
     Relation rel = MakeRandomRelation(600, shape, 4242);
@@ -184,12 +156,6 @@ TEST(FlatKernelPropertyTest, RefineOfAnyParentMatchesProduct) {
         StrippedPartition refined = StrippedPartition::Refine(parent, rel, a);
         EXPECT_EQ(Canonical(refined), expected) << "refine by " << a;
         EXPECT_TRUE(refined.AuditInvariants(rel, x).ok()) << "refine by " << a;
-        for (AttrId b : x.ToVector()) {
-          if (b == a) continue;
-          StrippedPartition other = StrippedPartition::BuildForSet(rel, x.Without(b));
-          EXPECT_EQ(Canonical(StrippedPartition::Product(parent, other)), expected)
-              << "product of parents without " << a << " and " << b;
-        }
       }
     }
   }

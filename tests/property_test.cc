@@ -105,24 +105,6 @@ TEST_P(PropertyTest, SupportIsMonotoneUnderAugmentation) {
   }
 }
 
-TEST_P(PropertyTest, PartitionProductIsCommutativeAndAssociative) {
-  Instance inst = MakeInstance(3200 + GetParam(), 3, 50);
-  StrippedPartition a = StrippedPartition::Build(inst.rel, 0);
-  StrippedPartition b = StrippedPartition::Build(inst.rel, 1);
-  StrippedPartition c = StrippedPartition::Build(inst.rel, 2);
-  auto canon = [](const StrippedPartition& p) {
-    std::set<std::set<RowId>> out;
-    for (const auto& cls : p.classes()) out.insert({cls.begin(), cls.end()});
-    return out;
-  };
-  EXPECT_EQ(canon(StrippedPartition::Product(a, b)),
-            canon(StrippedPartition::Product(b, a)));
-  EXPECT_EQ(canon(StrippedPartition::Product(StrippedPartition::Product(a, b), c)),
-            canon(StrippedPartition::Product(a, StrippedPartition::Product(b, c))));
-  // Idempotence: Π*_X · Π*_X = Π*_X.
-  EXPECT_EQ(canon(StrippedPartition::Product(a, a)), canon(a));
-}
-
 TEST_P(PropertyTest, PartitionErrorIsMonotone) {
   // Adding attributes refines partitions: error can only decrease, and the
   // number of full classes can only increase.

@@ -156,8 +156,8 @@ TEST(PartitionTest, ProductMatchesBruteForce) {
   for (int a = 0; a < rel.num_attrs(); ++a) {
     for (int b = a + 1; b < rel.num_attrs(); ++b) {
       AttrSet s = AttrSet::Of({a, b});
-      StrippedPartition p = StrippedPartition::Product(
-          StrippedPartition::Build(rel, a), StrippedPartition::Build(rel, b));
+      StrippedPartition p =
+          StrippedPartition::Refine(StrippedPartition::Build(rel, a), rel, b);
       EXPECT_EQ(AsSets(p), ReferenceStripped(rel, s))
           << "attrs " << rel.schema().Render(s);
     }

@@ -86,7 +86,6 @@ TEST(CompressedPartitionTest, RoundTripAcrossDensityRegimes) {
         EXPECT_EQ(comp.sum_sizes(), flat.sum_sizes()) << shape.label;
         EXPECT_EQ(comp.error(), flat.error()) << shape.label;
         EXPECT_EQ(comp.IsSuperkey(), flat.IsSuperkey()) << shape.label;
-        EXPECT_EQ(comp.IsAllRowsClass(), flat.IsAllRowsClass()) << shape.label;
         EXPECT_TRUE(comp.AuditInvariants().ok()) << shape.label;
         ExpectIdentical(comp.Decode(), flat);
         // The codec tallies cover every class.

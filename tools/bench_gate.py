@@ -7,8 +7,8 @@ output) against a committed baseline and fails when:
   * a table present in the baseline is missing from the fresh run,
   * a table's row count changed (shape drift — refresh the baseline),
   * a time-like cell regressed beyond tolerance,
-  * a `micro_partition` intersection op (product / refine / error) reports
-    a flat-vs-legacy speedup below --speedup-min, or
+  * the `micro_partition` refine op (the one partition product) reports a
+    flat-vs-legacy speedup below --speedup-min, or
   * a `clean_beam` row reports a full-vs-incremental node-scoring speedup
     below --clean-speedup-min, or is not byte-identical across modes, or
   * a `serve_closed_loop` row produced on capable hardware (hw >= 8)
@@ -53,7 +53,7 @@ import sys
 TIME_COLUMN_RE = re.compile(r"ms|\(s\)|\bseconds\b|_s$")
 
 # Ops in the micro_partition table whose speedup ratio is gated hard.
-GATED_INTERSECTION_OPS = ("product", "refine", "error")
+GATED_INTERSECTION_OPS = ("refine",)
 
 # Datasets in the storage_bytes table whose compression ratio is gated hard.
 # high_card is deliberately adversarial (mostly size-2 classes) and exempt.
@@ -152,8 +152,8 @@ def compare_tables(baseline, fresh, rel_tol, abs_slack, speedup_min,
 
 
 def check_micro_partition(table, speedup_min):
-    """Hard gate: flat kernels must beat the legacy layout on the
-    intersection ops by at least speedup_min. The ratio is computed in one
+    """Hard gate: the flat refine kernel must beat the legacy layout by at
+    least speedup_min. The ratio is computed in one
     process on one machine, so no tolerance applies."""
     failures = []
     columns = table["columns"]
@@ -374,7 +374,7 @@ def self_test():
         {"bench": "micro_partition",
          "columns": ["op", "rows", "legacy(ms)", "flat(ms)", "speedup"],
          "rows": [["build", 20000, 0.10, 0.04, 2.50],
-                  ["product", 20000, 0.75, 0.26, 2.88]]},
+                  ["refine", 20000, 0.75, 0.26, 2.88]]},
         {"bench": "serve_update_latency",
          "columns": ["N", "update(ms)", "full_reverify(ms)", "speedup"],
          "rows": [[5000, 0.014, 0.33, 23.0]]},
@@ -446,7 +446,7 @@ def self_test():
     checks.append(("speedup below minimum fails",
                    len(failures) == 1 and "speedup 1.15" in failures[0]))
 
-    # 5. Build op is not speedup-gated (only the intersection ops are).
+    # 5. Build op is not speedup-gated (only refine is).
     slow_build = clone(baseline)
     slow_build[0]["rows"][0][4] = 1.10  # build speedup < 2.0: allowed
     checks.append(("build op not speedup-gated", gate(slow_build) == []))
@@ -473,7 +473,7 @@ def self_test():
 
     # 9. Shape drift (row count change) fails with refresh advice.
     reshaped = clone(baseline)
-    reshaped[0]["rows"].append(["error", 20000, 0.73, 0.04, 16.0])
+    reshaped[0]["rows"].append(["refine", 60000, 2.35, 0.42, 5.65])
     failures = gate(reshaped)
     checks.append(("row-count drift fails",
                    len(failures) == 1 and "refresh" in failures[0]))
@@ -613,8 +613,8 @@ def main():
                         help="absolute slack for time columns, in the "
                              "column's own unit (default 0.25)")
     parser.add_argument("--speedup-min", type=float, default=2.0,
-                        help="hard minimum for micro_partition intersection "
-                             "op speedups (default 2.0)")
+                        help="hard minimum for the micro_partition refine "
+                             "op speedup (default 2.0)")
     parser.add_argument("--clean-speedup-min", type=float, default=2.0,
                         help="hard minimum for the clean_beam full-vs-"
                              "incremental node-scoring speedup (default 2.0)")
