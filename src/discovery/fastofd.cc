@@ -40,7 +40,6 @@ using Level = std::unordered_map<AttrSet, Node, AttrSetHash>;
 FastOfd::FastOfd(const Relation& rel, const SynonymIndex& index, FastOfdConfig config,
                  const Ontology* ontology)
     : rel_(rel),
-      index_(index),
       config_(config),
       verifier_(rel, index, ontology, config.theta) {
   if (config_.kind == OfdKind::kInheritance) {
@@ -76,16 +75,16 @@ FastOfdResult FastOfd::Discover() {
 
   // Per-thread scratch for candidate validation.
   struct Scratch {
-    std::unordered_map<SenseId, size_t> counts;
-    std::vector<ValueId> distinct;
     int64_t values_scanned = 0;
   };
 
   // Validates candidate lhs -> rhs against Π*_lhs. Opt-4 (FD reduction):
   // when the traditional FD lhs -> rhs already holds — an O(1) check given
   // both partitions — every class is syntactically equal on the consequent
-  // and the sense-intersection scan is skipped entirely. Thread-safe: all
-  // mutable state lives in `scratch`.
+  // and the sense-intersection scan is skipped entirely. Otherwise each
+  // class goes through the verifier's per-class check (one coverage pass
+  // for synonym OFDs). Thread-safe: all mutable state lives in `scratch`
+  // and the verifier's per-thread counters.
   auto candidate_valid = [&](const StrippedPartition& lhs_partition,
                              const StrippedPartition& node_partition, AttrId rhs,
                              Scratch& scratch) -> bool {
@@ -98,37 +97,9 @@ FastOfdResult FastOfd::Discover() {
       // cannot lift support back over the threshold.
       return verifier_.SupportAtLeast(ofd, lhs_partition, config_.min_support);
     }
-    for (const auto& cls : lhs_partition.classes()) {
+    for (RowSpan cls : lhs_partition.classes()) {
       scratch.values_scanned += static_cast<int64_t>(cls.size());
-      auto& distinct = scratch.distinct;
-      distinct.clear();
-      for (RowId r : cls) distinct.push_back(rel_.At(r, rhs));
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-      if (distinct.size() == 1) continue;  // Equal values: class satisfied.
-      if (config_.kind == OfdKind::kInheritance) {
-        if (!verifier_.HoldsInClass(cls, rhs, config_.kind)) return false;
-        continue;
-      }
-      // Synonym check: some sense must cover every distinct value.
-      auto& counts = scratch.counts;
-      counts.clear();
-      bool missing_value = false;
-      for (ValueId v : distinct) {
-        const std::vector<SenseId>& senses = index_.Senses(v);
-        if (senses.empty()) missing_value = true;
-        for (SenseId s : senses) ++counts[s];
-      }
-      bool covered = false;
-      if (!missing_value) {
-        for (const auto& [_, c] : counts) {
-          if (c == distinct.size()) {
-            covered = true;
-            break;
-          }
-        }
-      }
-      if (!covered) return false;
+      if (!verifier_.HoldsInClass(cls, rhs, config_.kind)) return false;
     }
     return true;
   };

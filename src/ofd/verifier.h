@@ -3,9 +3,16 @@
 // Unlike FDs, OFDs cannot be checked on tuple pairs: a class may satisfy the
 // dependency pairwise while the intersection of all senses is empty (paper
 // Table 2). Verification therefore scans each equivalence class of Π*_X and
-// checks for a sense covering *all distinct* consequent values, via a
-// counting pass over a sense->count hash map — linear in the class size under
-// the indexed-ontology assumption.
+// checks for a sense covering *all* of the class's consequent values.
+//
+// Every synonym check — exact satisfaction, support, the support cutoff and
+// the Exp-5 savings — runs one coverage pass per class: count the class's
+// tuples per consequent value in a per-thread flat array indexed by ValueId,
+// then add each touched value's count to each of its senses in a second flat
+// array indexed by SenseId. The class's best coverage is the largest literal
+// or sense count, and the class satisfies the OFD iff that coverage is the
+// whole class. Linear in the class size under the indexed-ontology
+// assumption, with no hashing, sorting or allocation in steady state.
 
 #ifndef FASTOFD_OFD_VERIFIER_H_
 #define FASTOFD_OFD_VERIFIER_H_
@@ -54,11 +61,24 @@ class OfdVerifier {
   /// Satisfaction within one equivalence class (rows of the class).
   bool HoldsInClass(RowSpan rows, AttrId rhs, OfdKind kind) const;
 
+  /// Tuples of the relation a synonym OFD can keep: the singleton rows
+  /// stripped from Π*_lhs plus, per class, the best of (a) the most
+  /// frequent sense's tuple coverage and (b) the most frequent single
+  /// literal value. One coverage pass per class; the OFD holds iff this
+  /// equals num_rows(), and Support is this divided by |I|.
+  int64_t SatisfiedTuples(const Ofd& ofd, const StrippedPartition& lhs_partition) const;
+
   /// Approximate-OFD support s(φ)/|I| (paper §4): the max fraction of tuples
-  /// retaining which the OFD holds, computed per class as the best of
-  /// (a) the most frequent sense's tuple coverage and (b) the most frequent
-  /// single literal value.
+  /// retaining which the OFD holds, SupportFor(SatisfiedTuples(...)).
   double Support(const Ofd& ofd, const StrippedPartition& lhs_partition) const;
+
+  /// Support of a SatisfiedTuples count: satisfied / |I|, and 1 on an empty
+  /// relation. Callers that need both holds and support run one pass and
+  /// derive each from the count.
+  double SupportFor(int64_t satisfied) const {
+    if (rel_.num_rows() == 0) return 1.0;
+    return static_cast<double>(satisfied) / static_cast<double>(rel_.num_rows());
+  }
 
   /// Early-exit form of Support for the discovery hot path: returns
   /// Support(...) >= kappa, but stops scanning classes as soon as the
@@ -76,7 +96,13 @@ class OfdVerifier {
   const SynonymIndex& index() const { return index_; }
 
  private:
-  bool SynonymClassHolds(const std::vector<ValueId>& distinct) const;
+  // One synonym coverage pass over a class (see the file comment).
+  struct ClassCoverage {
+    int64_t best = 0;      // Largest literal or sense tuple count.
+    int64_t distinct = 0;  // Distinct consequent values.
+  };
+  ClassCoverage Coverage(RowSpan rows, AttrId rhs) const;
+
   bool InheritanceClassHolds(const std::vector<ValueId>& distinct) const;
 
   const Relation& rel_;

@@ -232,7 +232,6 @@ void StrippedPartition::SplitClass(RowSpan cls, const int32_t* key,
   // Pass 1: count the class's rows per key.
   for (RowId r : cls) {
     int32_t k = key[static_cast<size_t>(r)];
-    if (k < 0) continue;
     if (counts[static_cast<size_t>(k)]++ == 0) touched.push_back(k);
   }
   if (touched.empty()) return;
@@ -254,7 +253,6 @@ void StrippedPartition::SplitClass(RowSpan cls, const int32_t* key,
     // group strictly ascending.
     for (RowId r : cls) {
       int32_t k = key[static_cast<size_t>(r)];
-      if (k < 0) continue;
       int32_t& s = slot[static_cast<size_t>(k)];
       if (s >= 0) (*rows)[static_cast<size_t>(s++)] = r;
     }
@@ -266,9 +264,8 @@ void StrippedPartition::SplitClass(RowSpan cls, const int32_t* key,
   touched.clear();
 }
 
-// Refinement keys the split by the column itself: value ids are never
-// negative, so no row is stripped up front and the column's own partition
-// is never built.
+// Refinement keys the split by the column itself, so the column's own
+// partition is never built.
 void StrippedPartition::RefineInto(const StrippedPartition& a,
                                    const std::vector<ValueId>& column,
                                    size_t num_values, PartitionScratch* scratch,
@@ -306,6 +303,7 @@ PartitionCache::PartitionCache(const Relation& rel, int64_t budget_bytes,
     metrics_->Add("partition_cache.evictions", 0);
     metrics_->Add("partition_cache.compressions", 0);
     metrics_->Add("partition_cache.promotions", 0);
+    metrics_->Add("partition_cache.cold_reads", 0);
     metrics_->Add("partition_cache.oversized", 0);
     MutexLock lock(mu_);
     PublishGaugesLocked();
@@ -452,20 +450,29 @@ std::shared_ptr<const StrippedPartition> PartitionCache::PromoteCold(
   const int64_t cost = FootprintBytes(*p);
   MutexLock lock(mu_);
   auto it = cache_.find(attrs);
-  if (it == cache_.end()) return p;  // Evicted meanwhile: serve uncached.
-  Entry& e = it->second;
-  if (e.flat != nullptr) return e.flat;  // Raced: another promotion won.
-  if (cost > budget_bytes_) return p;  // Budget below one flat copy: stay cold.
-  bytes_ += cost - e.bytes;
-  cold_bytes_ -= e.bytes;
+  Entry* e = it == cache_.end() ? nullptr : &it->second;
+  // Raced: another promotion won.
+  if (e != nullptr && e->flat != nullptr) return e->flat;
+  // Promote only into free budget. Making room would compress or evict
+  // another entry, and on a working set larger than the budget that victim
+  // is the next request's cold hit: every Get would pay a decode plus a
+  // victim encode. Served uncached instead, the entry stays cold in place
+  // and the decoded copy lives only as long as the caller holds it. An
+  // entry evicted meanwhile is served the same way.
+  if (e == nullptr || bytes_ + cost - e->bytes > budget_bytes_) {
+    ++cold_reads_;
+    if (metrics_ != nullptr) metrics_->Add("partition_cache.cold_reads", 1);
+    return p;
+  }
+  bytes_ += cost - e->bytes;
+  cold_bytes_ -= e->bytes;
   --cold_entries_;
-  e.flat = p;
-  e.compressed = nullptr;
-  e.bytes = cost;
-  e.incompressible = false;
+  e->flat = p;
+  e->compressed = nullptr;
+  e->bytes = cost;
+  e->incompressible = false;
   ++promotions_;
   if (metrics_ != nullptr) metrics_->Add("partition_cache.promotions", 1);
-  EvictToBudgetLocked(attrs);
   PublishGaugesLocked();
   FASTOFD_AUDIT_OK(AuditInvariantsLocked());
   return p;
@@ -614,6 +621,11 @@ int64_t PartitionCache::compressions() const {
 int64_t PartitionCache::promotions() const {
   MutexLock lock(mu_);
   return promotions_;
+}
+
+int64_t PartitionCache::cold_reads() const {
+  MutexLock lock(mu_);
+  return cold_reads_;
 }
 
 size_t PartitionCache::cold_entries() const {

@@ -271,9 +271,9 @@ class StrippedPartition {
   }
 
   // The split loop behind both RefineInto overloads: splits `cls` by
-  // key[row], drops rows whose key is < 0, and appends each group of >= 2
-  // rows to rows/offsets in first-touch order (deterministic, independent
-  // of how classes are chunked). Keys are dictionary value ids; the scratch
+  // key[row] and appends each group of >= 2 rows to rows/offsets in
+  // first-touch order (deterministic, independent of how classes are
+  // chunked). Keys are dictionary value ids, never negative; the scratch
   // must cover every key (EnsureKeys).
   static void SplitClass(RowSpan cls, const int32_t* key, PartitionScratch* scratch,
                          std::vector<RowId>* rows, std::vector<uint32_t>* offsets);
@@ -302,9 +302,13 @@ class MetricsRegistry;  // common/metrics.h
 /// flat entries are first *compacted* into hybrid-compressed form
 /// (CompressedPartition, typically 3x+ smaller) and only then, still over
 /// budget, evicted outright from the cold end. A Get() that lands on a
-/// compressed entry decodes and promotes it back to the hot tier; the
-/// recursive-prefix path instead refines straight off the compressed form
-/// (the compressed RefineInto), so cold prefixes never pay a decode.
+/// compressed entry decodes it and promotes it back to the hot tier only
+/// if the flat form fits into free budget; otherwise it serves the decoded
+/// copy uncached and leaves the entry cold in place (a cold read), so a
+/// working set larger than the budget does not churn every entry through
+/// decode-promote-recompress on each pass. The recursive-prefix path
+/// refines straight off the compressed form (the compressed RefineInto),
+/// so cold prefixes never pay a decode.
 ///
 /// Entries are charged by a full footprint: the partition's allocated bytes
 /// plus the fixed per-entry bookkeeping (hash-map node, LRU list node,
@@ -316,8 +320,8 @@ class MetricsRegistry;  // common/metrics.h
 /// entries runs under it — one linear pass over an arena that is about to
 /// stop being resident).
 ///
-/// Hit/miss/eviction/compression/promotion counts and the current byte
-/// footprint (total and cold-tier) are recorded in an optional
+/// Hit/miss/eviction/compression/promotion/cold-read counts and the current
+/// byte footprint (total and cold-tier) are recorded in an optional
 /// MetricsRegistry under `partition_cache.*`; gauges are republished on
 /// every mutation and the audit asserts they match the internal counters.
 class PartitionCache {
@@ -329,7 +333,10 @@ class PartitionCache {
                           MetricsRegistry* metrics = nullptr);
 
   /// Returns the stripped partition for `attrs`, computing (and caching)
-  /// it and any missing prefixes on demand. A partition whose footprint
+  /// it and any missing prefixes on demand. A cold (compressed) hit is
+  /// decoded and promoted only into free budget — it never compresses or
+  /// evicts another entry to make room — and is otherwise served decoded
+  /// and uncached (counted in cold_reads). A partition whose footprint
   /// alone exceeds the budget is returned but not retained — and neither
   /// are the prefixes computed on the way to it (caching scaffolding for a
   /// partition that will never be retained would evict the live working
@@ -377,6 +384,8 @@ class PartitionCache {
   int64_t compressions() const EXCLUDES(mu_);
   /// Compressed entries decoded back to the hot tier by Get().
   int64_t promotions() const EXCLUDES(mu_);
+  /// Cold hits served decoded without promotion (no free budget).
+  int64_t cold_reads() const EXCLUDES(mu_);
   /// Cold-tier (compressed) entry count / charged bytes.
   size_t cold_entries() const EXCLUDES(mu_);
   int64_t cold_bytes() const EXCLUDES(mu_);
@@ -415,7 +424,9 @@ class PartitionCache {
   StrippedPartition ComputeMissing(AttrSet attrs,
                                    std::vector<PendingInsert>* pending) EXCLUDES(mu_);
 
-  // Decodes a cold entry outside the lock and swaps the hot form back in.
+  // Decodes a cold entry outside the lock and swaps the hot form back in
+  // if it fits into free budget; otherwise returns the decoded copy
+  // uncached.
   std::shared_ptr<const StrippedPartition> PromoteCold(
       AttrSet attrs, std::shared_ptr<const CompressedPartition> cold) EXCLUDES(mu_);
 
@@ -448,6 +459,7 @@ class PartitionCache {
   int64_t evictions_ GUARDED_BY(mu_) = 0;
   int64_t compressions_ GUARDED_BY(mu_) = 0;
   int64_t promotions_ GUARDED_BY(mu_) = 0;
+  int64_t cold_reads_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace fastofd

@@ -751,10 +751,16 @@ Json ServiceServer::HandleVerify(const Json& request) {
   pool_.ParallelFor(sigma.size(), [&](size_t i, int) {
     const Ofd& ofd = sigma[i];
     std::shared_ptr<const StrippedPartition> p = cache.Get(ofd.lhs);
-    checks[i].holds = verifier.Holds(ofd, *p);
-    checks[i].support = ofd.kind == OfdKind::kSynonym
-                            ? verifier.Support(ofd, *p)
-                            : (checks[i].holds ? 1.0 : 0.0);
+    if (ofd.kind != OfdKind::kSynonym) {
+      checks[i].holds = verifier.Holds(ofd, *p);
+      checks[i].support = checks[i].holds ? 1.0 : 0.0;
+      return;
+    }
+    // One coverage pass yields both answers: the OFD holds iff every tuple
+    // is satisfied, and support is the satisfied share.
+    const int64_t satisfied = verifier.SatisfiedTuples(ofd, *p);
+    checks[i].holds = satisfied == p->num_rows();
+    checks[i].support = verifier.SupportFor(satisfied);
   });
   Json ofds = Json::Array();
   int violated = 0;

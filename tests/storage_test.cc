@@ -2,7 +2,8 @@
 // across density regimes, refinement over a compressed operand matches the
 // flat kernel bit for bit, FromBytes rejects malformed streams, and the
 // PartitionCache two-tier policy (compress cold entries before evicting,
-// promote on hit, refine prefixes in place) honors its budget and metrics —
+// promote a cold hit only into free budget, refine prefixes in place)
+// honors its budget and metrics —
 // including regressions for the three cache-accounting bugs: stale gauges,
 // undercounted footprints, and oversized targets caching their prefix chain.
 
@@ -228,12 +229,89 @@ TEST(TwoTierCacheTest, CompressesColdEntriesInsteadOfEvicting) {
   EXPECT_GT(cache.cold_entries(), 0u);
   EXPECT_LE(cache.bytes(), cache.budget_bytes());
 
-  // A hit on a cold entry decodes, promotes, and returns identical rows.
-  const int64_t promotions_before = cache.promotions();
+  // {a0} went cold first, and the free budget cannot take its flat form
+  // back. A hit on it returns identical rows decoded, without promoting it
+  // and without compressing or evicting another entry to make room.
+  const int64_t cold_cost = PartitionCache::FootprintBytes(
+      CompressedPartition::Encode(*held[0]));
+  ASSERT_GT(cache.bytes() + PartitionCache::FootprintBytes(*held[0]) - cold_cost,
+            cache.budget_bytes());
+  EXPECT_EQ(metrics.Snapshot().Counter("partition_cache.cold_reads"), 0);
+  const int64_t compressions_before = cache.compressions();
+  const size_t cold_before = cache.cold_entries();
+  const int64_t bytes_before = cache.bytes();
   std::shared_ptr<const StrippedPartition> again =
       cache.Get(AttrSet::Single(0));
   ExpectIdentical(*again, *held[0]);
-  EXPECT_GT(cache.promotions(), promotions_before);
+  EXPECT_EQ(cache.promotions(), 0);
+  EXPECT_EQ(cache.compressions(), compressions_before);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.cold_entries(), cold_before);
+  EXPECT_EQ(cache.bytes(), bytes_before);
+  EXPECT_EQ(cache.cold_reads(), 1);
+  EXPECT_EQ(metrics.Snapshot().Counter("partition_cache.cold_reads"), 1);
+  EXPECT_TRUE(cache.AuditInvariants().ok());
+}
+
+// Three partitions cycled through a budget that holds two flat and one
+// compressed: promoting the cold one on each hit would push the next one
+// cold, so every Get would decode one entry and re-encode another. Cold
+// hits are served decoded instead, and the tiers settle after one round.
+TEST(TwoTierCacheTest, CyclicWorkingSetDoesNotChurn) {
+  Relation rel = MakeRandomRelation(4000, {"dense", {6, 6, 6}}, 47);
+  std::vector<StrippedPartition> want;
+  for (AttrId a = 0; a < 3; ++a) want.push_back(StrippedPartition::Build(rel, a));
+  want[0].Compact();
+  const int64_t flat_cost = PartitionCache::FootprintBytes(want[0]);
+  PartitionCache cache(rel, flat_cost * 2 + flat_cost / 2);
+  auto cycle = [&]() {
+    for (AttrId a = 0; a < 3; ++a) {
+      std::shared_ptr<const StrippedPartition> p = cache.Get(AttrSet::Single(a));
+      ExpectIdentical(*p, want[static_cast<size_t>(a)]);
+    }
+  };
+  cycle();
+  cycle();
+  ASSERT_EQ(cache.size(), 3u);
+  ASSERT_EQ(cache.cold_entries(), 1u);
+  const int64_t promotions = cache.promotions();
+  const int64_t compressions = cache.compressions();
+  const int64_t cold_reads = cache.cold_reads();
+  for (int round = 0; round < 50; ++round) cycle();
+  EXPECT_EQ(cache.promotions(), promotions);
+  EXPECT_EQ(cache.compressions(), compressions);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.cold_entries(), 1u);
+  EXPECT_EQ(cache.cold_reads(), cold_reads + 50);  // One cold entry per round.
+  EXPECT_TRUE(cache.AuditInvariants().ok());
+}
+
+// Promotion waits for free budget, not forever: once an Invalidate drops a
+// hot entry, the next hit on the cold one promotes it.
+TEST(TwoTierCacheTest, ColdHitPromotesOnceInvalidateFreesBudget) {
+  Relation rel = MakeRandomRelation(4000, {"dense", {6, 6, 6}}, 53);
+  StrippedPartition want = StrippedPartition::Build(rel, 0);
+  want.Compact();
+  const int64_t flat_cost = PartitionCache::FootprintBytes(want);
+  PartitionCache cache(rel, flat_cost * 2 + flat_cost / 2);
+  for (AttrId a = 0; a < 3; ++a) cache.Get(AttrSet::Single(a));
+  ASSERT_EQ(cache.cold_entries(), 1u);  // {a0}, the least recently used.
+  ExpectIdentical(*cache.Get(AttrSet::Single(0)), want);
+  EXPECT_EQ(cache.promotions(), 0);
+  EXPECT_EQ(cache.cold_reads(), 1);
+
+  EXPECT_EQ(cache.Invalidate(AttrSet::Single(1)), 1u);
+  ExpectIdentical(*cache.Get(AttrSet::Single(0)), want);
+  EXPECT_EQ(cache.promotions(), 1);
+  EXPECT_EQ(cache.cold_entries(), 0u);
+  EXPECT_EQ(cache.cold_reads(), 1);
+  EXPECT_EQ(cache.compressions(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
+  // Now hot: the next hit is served flat.
+  ExpectIdentical(*cache.Get(AttrSet::Single(0)), want);
+  EXPECT_EQ(cache.promotions(), 1);
+  EXPECT_EQ(cache.cold_reads(), 1);
+  EXPECT_LE(cache.bytes(), cache.budget_bytes());
   EXPECT_TRUE(cache.AuditInvariants().ok());
 }
 
@@ -298,7 +376,7 @@ TEST(TwoTierCacheTest, GaugesStayFreshAcrossMutations) {
   expect_fresh();
   for (AttrId a = 0; a < 3; ++a) cache.Get(AttrSet::Single(a));
   expect_fresh();
-  cache.Get(AttrSet::Single(0));  // Promotion path.
+  cache.Get(AttrSet::Single(0));  // Cold hit (promotion or cold read).
   expect_fresh();
   cache.Invalidate(AttrSet::Single(1));
   expect_fresh();

@@ -208,9 +208,16 @@ int RunVerify(const Flags& flags) {
       const Ofd& ofd = ofds[i];
       std::shared_ptr<const StrippedPartition> p = cache.Get(ofd.lhs);
       Check& check = checks[i];
-      check.holds = verifier.Holds(ofd, *p);
-      check.support = ofd.kind == OfdKind::kSynonym ? verifier.Support(ofd, *p)
-                                                    : (check.holds ? 1 : 0);
+      if (ofd.kind == OfdKind::kSynonym) {
+        // One coverage pass: holds iff every tuple is satisfied; support is
+        // the satisfied share.
+        const int64_t satisfied = verifier.SatisfiedTuples(ofd, *p);
+        check.holds = satisfied == p->num_rows();
+        check.support = verifier.SupportFor(satisfied);
+      } else {
+        check.holds = verifier.Holds(ofd, *p);
+        check.support = check.holds ? 1 : 0;
+      }
       check.savings = verifier.Savings(ofd, *p);
     });
   }
