@@ -22,6 +22,7 @@
 #include "common/flags.h"
 #include "common/metrics.h"
 #include "datagen/datagen.h"
+#include "exec/thread_pool.h"
 
 using namespace fastofd;
 using namespace fastofd::bench;
@@ -60,9 +61,10 @@ CleanRun RunClean(const GeneratedData& data, bool incremental, int threads,
   CleanRun run;
   for (int i = 0; i < iters; ++i) {
     MetricsRegistry metrics;
+    ThreadPool pool(threads);
     OfdCleanConfig cfg;
     cfg.incremental_scoring = incremental;
-    cfg.num_threads = threads;
+    cfg.pool = &pool;
     cfg.metrics = &metrics;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, cfg);
     OfdCleanResult result = cleaner.Run();

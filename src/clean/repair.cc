@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -208,16 +207,12 @@ OfdCleanResult OfdClean::Run() {
 
   // One pool and one metrics registry for the whole pipeline: sense
   // assignment, every beam-search RepairData call, and the final
-  // materialization all share them.
+  // materialization all share them. Without a pool everything runs inline.
   MetricsRegistry local_metrics;
   MetricsRegistry& metrics =
       config_.metrics != nullptr ? *config_.metrics : local_metrics;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = config_.pool;
-  if (pool == nullptr) {
-    owned_pool.emplace(config_.num_threads);
-    pool = &*owned_pool;
-  }
+  ThreadPool serial_pool(1);
+  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &serial_pool;
   ScopedTimer clean_timer(&metrics, "clean.seconds");
 
   SynonymIndex index(ontology_, rel_.dict());
@@ -400,17 +395,12 @@ OfdCleanResult OfdClean::Run() {
       level_nodes[e] = std::move(node);
       level_rescored[e] = rescored;
     };
-    // Batch grain: a run of candidate expansions per task (not one node per
-    // dispatch), so scheduling cost amortizes over the batch while work
-    // stealing still rebalances the uneven tail (nodes with long
-    // affected-class lists). The level result is byte-identical for any
-    // grain or thread count — slots, then one deterministic sort below.
-    const size_t beam_grain =
-        config_.beam_grain > 0
-            ? static_cast<size_t>(config_.beam_grain)
-            : std::max<size_t>(1, expansions.size() /
-                                      (static_cast<size_t>(pool->num_threads()) * 8));
-    pool->ParallelForGrained(expansions.size(), beam_grain, eval_expansion);
+    // The automatic grain batches ~8 runs of candidate expansions per worker
+    // (not one node per dispatch), so scheduling cost amortizes over the
+    // batch while work stealing still rebalances the uneven tail (nodes with
+    // long affected-class lists). The level result is byte-identical for any
+    // thread count — slots, then one deterministic sort below.
+    pool->ParallelFor(expansions.size(), eval_expansion);
     result.nodes_evaluated += static_cast<int64_t>(expansions.size());
     for (int64_t r : level_rescored) classes_rescored += r;
 

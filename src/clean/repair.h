@@ -66,17 +66,10 @@ struct OfdCleanConfig {
   /// false re-costs every class per node (the reference path, kept for
   /// benchmarking and cross-validation). Output is byte-identical.
   bool incremental_scoring = true;
-  /// Worker threads for sense assignment, beam-node scoring, and
-  /// conflict-graph construction (1 = serial). The repair output is
-  /// identical for any thread count.
-  int num_threads = 1;
-  /// Beam expansions per scoring task (0 = automatic, ~8 batches per
-  /// worker). Batches amortize dispatch and keep per-worker scoring scratch
-  /// warm; output is identical for any grain.
-  int beam_grain = 0;
-  /// Shared execution pool; when null, Run() creates its own
-  /// `num_threads`-wide pool once and reuses it across all phases and every
-  /// beam-search node. When set, `num_threads` is ignored.
+  /// Execution pool for sense assignment, beam-node scoring, and
+  /// conflict-graph construction, shared by every phase and beam-search
+  /// node. Null runs everything inline on the calling thread. The repair
+  /// output is identical for any pool width.
   ThreadPool* pool = nullptr;
   /// Optional metrics sink (`clean.*` and `repair.*` counters and timers).
   MetricsRegistry* metrics = nullptr;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 
 namespace fastofd {
@@ -54,16 +53,13 @@ FastOfdResult FastOfd::Discover() {
 
   // Execution & instrumentation substrate: one pool for the whole run
   // (validation and partition products, every level), one registry as the
-  // single source of truth for telemetry. Both may be shared by the caller.
+  // single source of truth for telemetry. Both may be shared by the caller;
+  // without a pool everything runs inline on a serial one.
   MetricsRegistry local_metrics;
   MetricsRegistry& metrics =
       config_.metrics != nullptr ? *config_.metrics : local_metrics;
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = config_.pool;
-  if (pool == nullptr) {
-    owned_pool.emplace(config_.num_threads);
-    pool = &*owned_pool;
-  }
+  ThreadPool serial_pool(1);
+  ThreadPool* pool = config_.pool != nullptr ? config_.pool : &serial_pool;
   ScopedTimer discover_timer(&metrics, "discover.seconds");
 
   // Base (≤1-attribute) partitions go through the shared cache when one is
@@ -182,34 +178,28 @@ FastOfdResult FastOfd::Discover() {
               });
     stats.candidates_checked = static_cast<int64_t>(candidates.size());
 
-    // Valid candidates land in a mutex-striped sink tagged with their
-    // canonical index; draining sorts by that index, so the apply loop below
-    // sees the same order as a serial run regardless of which worker
-    // validated what. Only validated candidates pay a (striped) lock.
-    ShardedSink<uint32_t> valid_sink(pool->num_threads());
+    // Each candidate's verdict lands in its own slot, and the apply loop
+    // below walks the slots in canonical order, so it sees the same order as
+    // a serial run regardless of which worker validated what.
+    std::vector<uint8_t> valid(candidates.size(), 0);
     {
       ScopedTimer validate_timer(&metrics, "discover.validate.seconds");
       std::vector<Scratch> scratches(static_cast<size_t>(pool->num_threads()));
-      const size_t grain =
-          config_.validate_grain > 0
-              ? static_cast<size_t>(config_.validate_grain)
-              : std::max<size_t>(1, candidates.size() /
-                                        (static_cast<size_t>(pool->num_threads()) * 16));
+      // ~16 tasks per worker, so work stealing can balance uneven candidates.
+      const size_t grain = std::max<size_t>(
+          1, candidates.size() / (static_cast<size_t>(pool->num_threads()) * 16));
       pool->ParallelForGrained(candidates.size(), grain, [&](size_t i, int worker) {
-        if (candidate_valid(*candidates[i].lhs_partition,
-                            candidates[i].node->partition, candidates[i].a,
-                            scratches[static_cast<size_t>(worker)])) {
-          valid_sink.Push(i, static_cast<uint32_t>(i));
-        }
+        valid[i] = candidate_valid(*candidates[i].lhs_partition,
+                                   candidates[i].node->partition, candidates[i].a,
+                                   scratches[static_cast<size_t>(worker)]);
       });
       for (const Scratch& s : scratches) {
         result.values_scanned += s.values_scanned;
       }
     }
 
-    for (const auto& [seq, idx] : valid_sink.DrainSorted()) {
-      (void)seq;
-      const size_t i = idx;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (valid[i] == 0) continue;
       AttrSet lhs = candidates[i].attrs.Without(candidates[i].a);
       if (!config_.opt_augmentation && !minimal_against_sigma(lhs, candidates[i].a)) {
         continue;
@@ -240,7 +230,7 @@ FastOfdResult FastOfd::Discover() {
     // parent with the fewest stripped rows by the one column it lacks:
     // Π*_X = Π*_{X∖a} · Π_a, with the column's dictionary codes as the
     // split key. The refinements of distinct children are independent, so
-    // they are computed in parallel when num_threads > 1.
+    // they run in parallel on a multi-worker pool.
     Level next;
     int64_t product_rows = 0;
     if (level < n && level < config_.max_level) {
@@ -252,6 +242,7 @@ FastOfdResult FastOfd::Discover() {
       }
       struct Pending {
         AttrSet combined;
+        Node* node;                       // Reserved in `next`, filled below.
         const StrippedPartition* parent;  // Smallest l-subset's partition.
         AttrId attr;                      // combined = parent's set ∪ {attr}.
       };
@@ -290,38 +281,27 @@ FastOfdResult FastOfd::Discover() {
               node.superkey = true;
               next.emplace(combined, std::move(node));
             } else {
-              next.emplace(combined, Node{});  // Reserve; filled below.
-              pending.push_back(Pending{combined, parent, attr});
+              Node* node = &next.emplace(combined, Node{}).first->second;
+              pending.push_back(Pending{combined, node, parent, attr});
               product_rows += parent->sum_sizes();
             }
           }
         }
       }
       result.partition_products += static_cast<int64_t>(pending.size());
-      // Canonical lattice order: the ordered reduce consumes results by
-      // this index, so `next` fills identically for any thread count, grain,
-      // or steal schedule.
-      std::sort(pending.begin(), pending.end(),
-                [](const Pending& x, const Pending& y) {
-                  return x.combined < y.combined;
-                });
       ScopedTimer products_timer(&metrics, "discover.products.seconds");
       // Level-wide task parallelism: one task per refinement, every pending
-      // node in flight at once.
-      OrderedReduce<StrippedPartition>(
-          pool, pending.size(), /*grain=*/1,
-          [&](size_t i, int) {
-            return StrippedPartition::Refine(*pending[i].parent, rel_, pending[i].attr);
-          },
-          [&](size_t i, StrippedPartition part) {
-            const Pending& p = pending[i];
-            Node& node = next.at(p.combined);
-            node.partition = std::move(part);
-            node.superkey = node.partition.IsSuperkey();
-            // Audit builds re-check every product against the partition laws
-            // (and, on small relations, against a naive rebuild of Π*_X).
-            FASTOFD_AUDIT_OK(node.partition.AuditInvariants(rel_, p.combined));
-          });
+      // node in flight at once. Each task writes only its own reserved node;
+      // unordered_map nodes never move and nothing is inserted into `next`
+      // during the loop, so `next` is identical for any thread count.
+      pool->ParallelForGrained(pending.size(), /*grain=*/1, [&](size_t i, int) {
+        const Pending& p = pending[i];
+        p.node->partition = StrippedPartition::Refine(*p.parent, rel_, p.attr);
+        p.node->superkey = p.node->partition.IsSuperkey();
+        // Audit builds re-check every product against the partition laws
+        // (and, on small relations, against a naive rebuild of Π*_X).
+        FASTOFD_AUDIT_OK(p.node->partition.AuditInvariants(rel_, p.combined));
+      });
     }
 
     stats.seconds = timer.Seconds();

@@ -55,17 +55,10 @@ struct FastOfdConfig {
   OfdKind kind = OfdKind::kSynonym;
   /// Ancestor-distance bound for inheritance OFDs.
   int theta = 2;
-  /// Worker threads for candidate validation and partition products
-  /// (1 = serial). Output is identical regardless of thread count
-  /// (validation results are applied in a deterministic order).
-  int num_threads = 1;
-  /// Candidates per validation task (0 = automatic, ~16 tasks per worker so
-  /// work stealing can balance uneven candidates). Output is identical for
-  /// any grain.
-  int validate_grain = 0;
-  /// Shared execution pool. When null, Discover() creates its own
-  /// `num_threads`-wide pool once and reuses it across all levels and
-  /// phases; when set, `num_threads` is ignored and this pool is used.
+  /// Execution pool for candidate validation and partition products, used
+  /// across all levels. Null runs everything inline on the calling thread.
+  /// Output is identical for any pool width (results are applied in a
+  /// deterministic order).
   ThreadPool* pool = nullptr;
   /// Optional metrics sink (`discover.*` counters and timers). When null,
   /// an internal registry still feeds the FastOfdResult telemetry fields.

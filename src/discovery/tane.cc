@@ -79,15 +79,23 @@ class Tane : public FdAlgorithm {
         }
         if (node.partition.IsSuperkey()) {
           for (AttrId a : node.cand.Minus(attrs).ToVector()) {
-            // X -> A is minimal iff A ∈ ∩_{B∈X} C+(X ∪ {A} \ {B}).
+            // X -> A is minimal iff no X \ {B} -> A holds. Given A ∈ C+(X),
+            // that is A ∈ C+(X ∪ {A} \ {B}) for every B ∈ X. A sibling
+            // missing from the level (a subset of it was pruned earlier) has
+            // no C+ to read, and the pruned subset may have been a key (no
+            // veto) or had an empty C+ (veto), so X \ {B} -> A is tested
+            // directly against the parent's partition.
             bool minimal = true;
             for (AttrId b : attrs.ToVector()) {
-              AttrSet sibling = attrs.With(a).Without(b);
-              auto sit = cur.find(sibling);
-              if (sit == cur.end() || !sit->second.cand.Contains(a)) {
-                minimal = false;
-                break;
+              auto sit = cur.find(attrs.With(a).Without(b));
+              if (sit != cur.end()) {
+                minimal = sit->second.cand.Contains(a);
+              } else {
+                ++result.work;
+                const StrippedPartition& lhs = prev.at(attrs.Without(b)).partition;
+                minimal = !FdHolds(lhs, StrippedPartition::Refine(lhs, rel, a));
               }
+              if (!minimal) break;
             }
             if (minimal) {
               result.fds.push_back(Ofd{attrs, a, OfdKind::kSynonym});

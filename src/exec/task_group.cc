@@ -20,10 +20,10 @@ void TaskGroup::OnTaskDone() {
   // after it: read pool_ first. The pool outlives every group on it.
   ThreadPool* pool = pool_;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
-  // Every completion (not just the last) wakes sleepers: an ordered-reduce
-  // consumer may be waiting on one specific block's flag, and a nested
-  // waiter may now find a newly stealable task. Tasks are coarse, so one
-  // notify per completion is cheap.
+  // Every completion (not just the last) bumps the epoch and wakes
+  // sleepers, so no caller has to tell the last decrement from the others.
+  // Waiters re-check their own predicate, so an early wake costs one probe,
+  // and tasks are coarse, so one notify per completion is cheap.
   pool->NotifyStateChange();
 }
 

@@ -31,11 +31,12 @@
 // with concurrent callers. With num_threads <= 1 no threads are spawned
 // and everything runs inline and serially on the caller (worker 0).
 //
-// The house determinism contract is unchanged: parallel stages *compute*
-// into pre-sized slots (or push into sequence-tagged sinks, see
-// exec/task_group.h) and results are *applied* sequentially in a fixed
-// order, so output is byte-identical for any thread count, grain size, or
-// steal schedule.
+// ParallelFor/ParallelForGrained is the one parallel loop the algorithms
+// use. Determinism contract: each index *computes* into a slot that only it
+// writes (a pre-sized vector element, or a node reserved before the loop),
+// and the caller *applies* the slots sequentially in a fixed order after the
+// loop returns, so output is byte-identical for any thread count or steal
+// schedule.
 
 #ifndef FASTOFD_EXEC_THREAD_POOL_H_
 #define FASTOFD_EXEC_THREAD_POOL_H_
@@ -107,29 +108,27 @@ class ThreadPool {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
 
-  // --- Scheduler internals exposed for the exec primitives ---------------
-  // (TaskGroup::Wait and OrderedReduce's streaming consumer; not intended
-  // for general use.)
+ private:
+  friend class TaskGroup;
 
-  /// Monotonic counter bumped on every submission and task completion.
-  /// Snapshot it *before* probing queue state, then sleep on the snapshot:
-  /// any concurrent state change invalidates it, so no wakeup is missed.
+  // --- Sleep/wake protocol, used by TaskGroup::Wait ----------------------
+
+  // Monotonic counter bumped on every submission and task completion.
+  // Snapshot it *before* probing queue state, then sleep on the snapshot:
+  // any concurrent state change invalidates it, so no wakeup is missed.
   uint64_t StateEpoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Blocks until the epoch differs from `seen` or `ready()` holds (ready
-  /// is re-evaluated under the scheduler's wake lock, so it must only read
-  /// atomics — it must not take locks or touch guarded state).
+  // Blocks until the epoch differs from `seen` or `ready()` holds (ready is
+  // re-evaluated under the scheduler's wake lock, so it must only read
+  // atomics — it must not take locks or touch guarded state).
   void WaitEpochChangeOr(uint64_t seen, const std::function<bool()>& ready)
       EXCLUDES(wake_mu_);
 
-  /// If the calling thread is a worker of this pool and a task belonging to
-  /// `group` is available (own deque first, then steal), executes it and
-  /// returns true. Returns false otherwise. The group filter keeps nested
-  /// waits from recursing into unrelated coarse tasks.
+  // If the calling thread is a worker of this pool and a task belonging to
+  // `group` is available (own deque first, then steal), executes it and
+  // returns true. Returns false otherwise. The group filter keeps nested
+  // waits from recursing into unrelated coarse tasks.
   bool HelpExecuteOne(TaskGroup* group);
-
- private:
-  friend class TaskGroup;
 
   struct Task {
     TaskGroup* group = nullptr;

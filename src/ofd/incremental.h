@@ -51,9 +51,9 @@ class IncrementalVerifier {
   }
 
   /// Total violating classes across Σ. Safe to read lock-free (relaxed
-  /// atomic): the service's `list`/`stats` ops sample it while an exclusive
-  /// writer on another executor shard may be mid-update, so the value is a
-  /// point-in-time snapshot, not a fence.
+  /// atomic): the service's `list` op runs from the "" session's mailbox and
+  /// samples it while a mutation from the owning session's mailbox may be
+  /// mid-update, so the value is a point-in-time snapshot, not a fence.
   int total_violating() const {
     return total_violating_.load(std::memory_order_relaxed);
   }

@@ -14,6 +14,7 @@
 #include "clean/repair.h"
 #include "clean/sense_assignment.h"
 #include "datagen/datagen.h"
+#include "exec/thread_pool.h"
 #include "ofd/verifier.h"
 #include "ontology/ontology.h"
 #include "ontology/synonym_index.h"
@@ -491,9 +492,10 @@ TEST(OfdCleanTest, BeamResultsIdenticalAcrossScoringModesAndThreads) {
   GeneratedData data = GenerateData(dg);
 
   auto run = [&](bool incremental, int threads) {
+    ThreadPool pool(threads);
     OfdCleanConfig cfg;
     cfg.incremental_scoring = incremental;
-    cfg.num_threads = threads;
+    cfg.pool = &pool;
     cfg.max_repair_size = 16;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, cfg);
     return cleaner.Run();

@@ -13,6 +13,7 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "datagen/datagen.h"
 #include "discovery/fastofd.h"
 #include "discovery/fd_baselines.h"
 #include "discovery/set_cover.h"
@@ -121,16 +122,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TransversalRandomTest, ::testing::Range(0, 10));
 // ---------------------------------------------------------------------------
 // FD baselines.
 
-Relation RandomRelation(uint64_t seed, int n_attrs, int n_rows, int domain) {
+// `n_keys` extra columns hold a distinct value per row.
+Relation RandomRelation(uint64_t seed, int n_attrs, int n_rows, int domain,
+                        int n_keys = 0) {
   Rng rng(seed);
   std::vector<std::string> names;
-  for (int a = 0; a < n_attrs; ++a) names.push_back(std::string(1, static_cast<char>('A' + a)));
+  for (int a = 0; a < n_attrs + n_keys; ++a) {
+    names.push_back(std::string(1, static_cast<char>('A' + a)));
+  }
   Relation rel((Schema(names)));
   for (int r = 0; r < n_rows; ++r) {
     std::vector<std::string> row;
     for (int a = 0; a < n_attrs; ++a) {
       row.push_back("v" + std::to_string(rng.NextUint(domain)));
     }
+    for (int k = 0; k < n_keys; ++k) row.push_back("k" + std::to_string(r));
     rel.AppendRow(row);
   }
   return rel;
@@ -153,12 +159,33 @@ Relation PlantedRelation(uint64_t seed, int n_rows) {
   return rel;
 }
 
+// Relations whose key nodes have siblings missing from the level, which
+// TANE's key-pruning minimality check must decide without reading the
+// sibling's C+. Params 8-11: wide generated instances (nine attributes, one
+// a key column), where treating every missing sibling as a veto drops
+// minimal FDs. Params 12-13: small relations with two key columns, where
+// ignoring a missing sibling admits non-minimal ones.
+Relation KeyedRelation(int param) {
+  if (param == 12) return RandomRelation(3151, 4, 5, 2, /*n_keys=*/2);
+  if (param == 13) return RandomRelation(5524, 4, 5, 2, /*n_keys=*/2);
+  DataGenConfig cfg;
+  cfg.num_rows = param % 2 == 0 ? 200 : 600;
+  cfg.num_antecedents = 3;
+  cfg.num_consequents = 3;
+  cfg.num_noise_attrs = 2;
+  cfg.num_key_attrs = 1;
+  cfg.classes_per_antecedent = 16;
+  cfg.seed = static_cast<uint64_t>(param);
+  return GenerateData(cfg).rel;
+}
+
 class FdAlgorithmsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FdAlgorithmsTest, AllMinimalAlgorithmsMatchBruteForce) {
-  Relation rel = GetParam() % 2 == 0
-                     ? RandomRelation(100 + GetParam(), 4, 25, 3)
-                     : PlantedRelation(100 + GetParam(), 40);
+  // Params 0-7: small random and planted relations; 8 and up: keyed ones.
+  Relation rel = GetParam() >= 8       ? KeyedRelation(GetParam())
+                 : GetParam() % 2 == 0 ? RandomRelation(100 + GetParam(), 4, 25, 3)
+                                       : PlantedRelation(100 + GetParam(), 40);
   FdResult expected = BruteForceFds(rel);
   for (const char* name : {"tane", "fun", "dfd", "depminer", "fastfds", "fdep"}) {
     auto algo = MakeFdAlgorithm(name);
@@ -188,7 +215,7 @@ TEST_P(FdAlgorithmsTest, FdMineOutputIsSoundAndComplete) {
   EXPECT_GE(got.fds.size(), expected.fds.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FdAlgorithmsTest, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, FdAlgorithmsTest, ::testing::Range(0, 14));
 
 TEST(FdAlgorithmsTest, ConstantColumnYieldsEmptyLhsFd) {
   Relation rel(Schema({"A", "B"}));

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
+#include "exec/thread_pool.h"
 #include "ofd/incremental.h"
 #include "ofd/lhs_synonym.h"
 #include "ofd/verifier.h"
@@ -363,12 +364,11 @@ TEST(ParallelDiscoveryTest, OutputIdenticalAcrossThreadCounts) {
     GeneratedData data = GenerateData(cfg);
     SynonymIndex index(data.ontology, data.rel.dict());
 
-    FastOfdConfig serial;
-    serial.num_threads = 1;
-    FastOfdResult a = FastOfd(data.rel, index, serial).Discover();
+    FastOfdResult a = FastOfd(data.rel, index).Discover();
     for (int threads : {2, 4, 8}) {
+      ThreadPool pool(threads);
       FastOfdConfig parallel;
-      parallel.num_threads = threads;
+      parallel.pool = &pool;
       FastOfdResult b = FastOfd(data.rel, index, parallel).Discover();
       EXPECT_EQ(a.ofds, b.ofds) << "threads " << threads << " seed " << seed;
       EXPECT_EQ(a.candidates_checked, b.candidates_checked);

@@ -1,9 +1,9 @@
 // Property: discovery and cleaning outputs are byte-identical across every
-// thread count AND every dispatch grain. The task scheduler may interleave,
-// steal, and nest arbitrarily — grain knobs (validate_grain, beam_grain)
-// change only the task shapes — so any divergence here means scheduling
-// state leaked into results, which the ordered-reduce / sharded-sink /
-// pre-sized-slot discipline exists to prevent. Runs under TSan in CI.
+// pool width. The task scheduler may interleave, steal, and nest
+// arbitrarily, so any divergence here means scheduling state leaked into
+// results, which the one-slot-per-task discipline (compute into a slot only
+// that index writes, apply in canonical order) exists to prevent. Runs under
+// TSan in CI.
 
 #include <cstdint>
 #include <string>
@@ -14,6 +14,7 @@
 #include "clean/repair.h"
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
+#include "exec/thread_pool.h"
 #include "ontology/synonym_index.h"
 
 namespace fastofd {
@@ -33,35 +34,25 @@ GeneratedData MakeInstance(uint64_t seed, double error_rate,
   return GenerateData(cfg);
 }
 
-struct GrainCase {
-  int threads;
-  int grain;
-};
+// Pool widths compared against the inline (null-pool) reference. 8 exceeds
+// the hardware concurrency of small runners: oversubscription must not
+// change output either.
+const int kThreadCounts[] = {1, 2, 8};
 
-// Thread-count × grain sweep: serial reference, then coarse/fine/automatic
-// grains at 2 and 8 threads (8 > hardware concurrency on small runners —
-// oversubscription must not change output either).
-const GrainCase kCases[] = {
-    {2, 0}, {2, 1}, {2, 7}, {8, 0}, {8, 1}, {8, 3}, {8, 64},
-};
-
-TEST(ParallelPropertyTest, DiscoveryByteIdenticalAcrossThreadsAndGrains) {
+TEST(ParallelPropertyTest, DiscoveryByteIdenticalAcrossThreads) {
   for (uint64_t seed : {7u, 31u}) {
     GeneratedData data = MakeInstance(seed, /*error_rate=*/0.02,
                                       /*incompleteness_rate=*/0.05);
     SynonymIndex index(data.ontology, data.rel.dict());
-    FastOfdConfig serial;
-    serial.num_threads = 1;
-    FastOfdResult reference = FastOfd(data.rel, index, serial).Discover();
+    FastOfdResult reference = FastOfd(data.rel, index).Discover();
     ASSERT_FALSE(reference.ofds.empty());
-    for (const GrainCase& c : kCases) {
+    for (int threads : kThreadCounts) {
+      ThreadPool pool(threads);
       FastOfdConfig cfg;
-      cfg.num_threads = c.threads;
-      cfg.validate_grain = c.grain;
+      cfg.pool = &pool;
       FastOfdResult got = FastOfd(data.rel, index, cfg).Discover();
-      const std::string label = "seed " + std::to_string(seed) + " threads " +
-                                std::to_string(c.threads) + " grain " +
-                                std::to_string(c.grain);
+      const std::string label =
+          "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
       EXPECT_EQ(reference.ofds, got.ofds) << label;
       EXPECT_EQ(reference.candidates_checked, got.candidates_checked) << label;
       EXPECT_EQ(reference.values_scanned, got.values_scanned) << label;
@@ -70,23 +61,20 @@ TEST(ParallelPropertyTest, DiscoveryByteIdenticalAcrossThreadsAndGrains) {
   }
 }
 
-TEST(ParallelPropertyTest, CleanByteIdenticalAcrossThreadsAndGrains) {
+TEST(ParallelPropertyTest, CleanByteIdenticalAcrossThreads) {
   for (uint64_t seed : {13u, 57u}) {
     GeneratedData data = MakeInstance(seed, /*error_rate=*/0.06,
                                       /*incompleteness_rate=*/0.1);
-    OfdCleanConfig serial;
-    serial.num_threads = 1;
     OfdCleanResult reference =
-        OfdClean(data.rel, data.ontology, data.sigma, serial).Run();
-    for (const GrainCase& c : kCases) {
+        OfdClean(data.rel, data.ontology, data.sigma).Run();
+    for (int threads : kThreadCounts) {
+      ThreadPool pool(threads);
       OfdCleanConfig cfg;
-      cfg.num_threads = c.threads;
-      cfg.beam_grain = c.grain;
+      cfg.pool = &pool;
       OfdCleanResult got =
           OfdClean(data.rel, data.ontology, data.sigma, cfg).Run();
-      const std::string label = "seed " + std::to_string(seed) + " threads " +
-                                std::to_string(c.threads) + " grain " +
-                                std::to_string(c.grain);
+      const std::string label =
+          "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
       EXPECT_EQ(got.best.repaired.CellDistance(reference.best.repaired), 0)
           << label;
       EXPECT_EQ(reference.best.ontology_additions, got.best.ontology_additions)

@@ -15,6 +15,7 @@
 #include "datagen/datagen.h"
 #include "discovery/fastofd.h"
 #include "discovery/set_cover.h"
+#include "exec/thread_pool.h"
 #include "ofd/incremental.h"
 #include "ofd/inference.h"
 #include "ofd/sigma_io.h"
@@ -213,9 +214,10 @@ TEST_P(PropertyTest, OfdCleanDeterministicAcrossThreadsAndScoringModes) {
   cfg.seed = 3900 + static_cast<uint64_t>(GetParam());
   GeneratedData data = GenerateData(cfg);
   auto run = [&](bool incremental, int threads) {
+    ThreadPool pool(threads);
     OfdCleanConfig ccfg;
     ccfg.incremental_scoring = incremental;
-    ccfg.num_threads = threads;
+    ccfg.pool = &pool;
     OfdClean cleaner(data.rel, data.ontology, data.sigma, ccfg);
     return cleaner.Run();
   };
