@@ -215,7 +215,9 @@ OfdCleanResult OfdClean::Run() {
   ThreadPool* pool = config_.pool != nullptr ? config_.pool : &serial_pool;
   ScopedTimer clean_timer(&metrics, "clean.seconds");
 
+  ScopedTimer index_timer(&metrics, "clean.index.seconds");
   SynonymIndex index(ontology_, rel_.dict());
+  index_timer.Stop();
   // The freshly compiled index must agree with the ontology exactly. The
   // beam search scores nodes through side-effect-free overlays; only the
   // final materialization mutates (and restores) the index.
@@ -243,6 +245,7 @@ OfdCleanResult OfdClean::Run() {
   // order stays first-occurrence order. The same pass records, per
   // candidate, the flattened class indices whose cost the insertion can
   // change — the incremental scorer's affected lists.
+  ScopedTimer candidates_timer(&metrics, "clean.candidates.seconds");
   std::vector<OntologyAddition> candidates;
   std::vector<int64_t> cand_count;
   std::vector<std::vector<uint32_t>> cand_affected;
@@ -310,6 +313,7 @@ OfdCleanResult OfdClean::Run() {
     candidates = std::move(kept);
     cand_affected = std::move(kept_affected);
   }
+  candidates_timer.Stop();
 
   // Beam size: secretary rule ⌊w/e⌋, at least 1.
   int beam = config_.beam_size > 0
@@ -322,8 +326,9 @@ OfdCleanResult OfdClean::Run() {
   // default, incremental (only the classes a node's insertions can affect
   // are re-costed). Scores are exact repair counts — never truncated by the
   // τ budget — so feasibility is simply `score <= budget`.
-  // `clean.beam.seconds` covers exactly the node-evaluation work: level-0
-  // memoization, every level's scoring, and the sorts — not the final
+  // `clean.beam.seconds` covers exactly the node-evaluation work: the
+  // per-class histograms and level-0 memoization, every level's scoring,
+  // and the sorts — not the final
   // materialization (bench_clean reports full-vs-incremental speedups from
   // this timer).
   ScopedTimer beam_timer(&metrics, "clean.beam.seconds");
@@ -336,7 +341,7 @@ OfdCleanResult OfdClean::Run() {
     bool tau_feasible = true;
   };
   int64_t classes_rescored = 0;
-  // One scoring scratch (overlay + affected-union buffer) per worker, warm
+  // One scoring scratch (overlay + affected-class stamps) per worker, warm
   // across every node of every level: batch-grained dispatch below hands
   // each worker a run of nodes, so the per-node allocations that made
   // fine-grained expansion regress are gone.

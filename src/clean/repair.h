@@ -9,8 +9,9 @@
 // b = ⌊|Cand(S)|/e⌋ by the secretary rule), and every candidate ontology
 // repair is scored by the number of data repairs still required. Nodes are
 // scored side-effect-free (SynonymIndexOverlay over the shared index, see
-// clean/beam_scorer.h), incrementally (only the classes a node's insertions
-// can affect are re-costed against the memoized level-0 per-class costs),
+// clean/beam_scorer.h), incrementally (each class's consequent histogram is
+// counted once; a node re-costs only the classes its insertions can affect,
+// from their level-0 summaries plus the values the insertions flip),
 // and in parallel (each level's expansions in candidate batches on the
 // work-stealing pool, per-worker scoring scratch, byte-identical output for
 // any thread count, grain, or scoring mode). Only the

@@ -1,14 +1,19 @@
 // Tests for the OFDClean stack: EMD, sense assignment, data/ontology
-// repair, the end-to-end driver on the paper's running example, and the
-// HoloCleanLite baseline.
+// repair, beam-node scoring, the end-to-end driver on the paper's running
+// example, and the HoloCleanLite baseline.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "clean/beam_scorer.h"
 #include "clean/emd.h"
 #include "clean/holoclean_lite.h"
 #include "clean/repair.h"
@@ -263,6 +268,210 @@ TEST(RepairDataTest, CleanInstanceNeedsNoChanges) {
   RepairResult result = RepairData(f.rel, index, sigma, assignment, 1000);
   EXPECT_TRUE(result.consistent);
   EXPECT_EQ(result.data_changes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Beam-node scoring. These run in every build (not only under
+// FASTOFD_AUDIT): incremental scoring, full scoring, and a from-scratch
+// RepairData on a materialized index copy must report the same count.
+
+// Repairs RepairData makes with the picks' insertions applied to a copy of
+// the index.
+int64_t RepairCount(const Relation& rel, const SynonymIndex& index,
+                    const SigmaSet& sigma, const SenseAssignmentResult& assignment,
+                    const std::vector<OntologyAddition>& candidates,
+                    const std::vector<int>& picks) {
+  SynonymIndex materialized = index;
+  for (int p : picks) {
+    materialized.AddValue(candidates[static_cast<size_t>(p)].sense,
+                          candidates[static_cast<size_t>(p)].value);
+  }
+  return RepairData(rel, materialized, sigma, assignment,
+                    std::numeric_limits<int64_t>::max())
+      .data_changes;
+}
+
+// Cand(S) as OfdClean collects it: every (assigned sense, value) pair whose
+// value occurs in the class but is missing from the sense, with the
+// flattened indices of the classes it occurs in.
+void CollectCandidates(const Relation& rel, const SynonymIndex& index,
+                       const SigmaSet& sigma, const SenseAssignmentResult& assignment,
+                       std::vector<OntologyAddition>* candidates,
+                       std::vector<std::vector<uint32_t>>* affected) {
+  std::map<std::pair<SenseId, ValueId>, size_t> pos;
+  uint32_t item = 0;
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const auto& classes = assignment.partitions[i].classes();
+    for (size_t c = 0; c < classes.size(); ++c, ++item) {
+      SenseId sense = assignment.senses[i][c];
+      if (sense == kInvalidSense) continue;
+      for (RowId r : classes[c]) {
+        ValueId v = rel.At(r, sigma[i].rhs);
+        if (index.SenseContains(sense, v)) continue;
+        auto [it, inserted] = pos.try_emplace({sense, v}, candidates->size());
+        if (inserted) {
+          candidates->push_back(OntologyAddition{sense, v});
+          affected->emplace_back();
+        }
+        std::vector<uint32_t>& list = (*affected)[it->second];
+        if (list.empty() || list.back() != item) list.push_back(item);
+      }
+    }
+  }
+}
+
+// Flattened index of the class (of the first OFD) holding `row`.
+uint32_t ClassOfRow(const SenseAssignmentResult& assignment, RowId row) {
+  const auto& classes = assignment.partitions[0].classes();
+  for (size_t c = 0; c < classes.size(); ++c) {
+    for (RowId r : classes[c]) {
+      if (r == row) return static_cast<uint32_t>(c);
+    }
+  }
+  ADD_FAILURE() << "row " << row << " is in no class";
+  return 0;
+}
+
+// Expects incremental == full == RepairData == `expected` for the picks.
+void ExpectScores(const BeamScorer& scorer, const Relation& rel,
+                  const SynonymIndex& index, const SigmaSet& sigma,
+                  const SenseAssignmentResult& assignment,
+                  const std::vector<OntologyAddition>& candidates,
+                  const std::vector<int>& picks, int64_t expected) {
+  EXPECT_EQ(scorer.ScoreIncremental(picks).data_changes, expected);
+  EXPECT_EQ(scorer.ScoreFull(picks).data_changes, expected);
+  EXPECT_EQ(RepairCount(rel, index, sigma, assignment, candidates, picks), expected);
+}
+
+TEST(BeamScorerTest, IncrementalEqualsFullEqualsRepairDataOnRandomPicks) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    DataGenConfig dg;
+    dg.num_rows = 400;
+    // One antecedent: the OFDs have distinct consequents and no
+    // antecedent/consequent overlap, so repair costs are per-class
+    // independent and RepairData's count is exact.
+    dg.num_antecedents = 1;
+    dg.num_consequents = 2;
+    dg.num_senses = 4;
+    dg.error_rate = 0.06;
+    dg.incompleteness_rate = 0.15;
+    dg.seed = seed;
+    GeneratedData data = GenerateData(dg);
+    SynonymIndex index(data.ontology, data.rel.dict());
+    SenseSelector selector(data.rel, index, data.sigma);
+    SenseAssignmentResult assignment = selector.Run();
+    std::vector<OntologyAddition> candidates;
+    std::vector<std::vector<uint32_t>> affected;
+    CollectCandidates(data.rel, index, data.sigma, assignment, &candidates, &affected);
+    ASSERT_GE(candidates.size(), 4u);
+
+    ThreadPool pool(2);
+    BeamScorer scorer(data.rel, index, data.sigma, assignment, &pool);
+    scorer.SetCandidates(candidates, affected);
+    const int64_t base = RepairCount(data.rel, index, data.sigma, assignment,
+                                     candidates, {});
+    EXPECT_GT(base, 0);
+    EXPECT_EQ(scorer.base_cost(), base);
+    EXPECT_EQ(scorer.ScoreFull({}).data_changes, base);
+    EXPECT_EQ(scorer.ScoreIncremental({}).data_changes, base);
+
+    std::mt19937 rng(static_cast<uint32_t>(seed));
+    BeamScorer::ScoreScratch scratch(index);  // Reused warm across nodes.
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<int> all(candidates.size());
+      for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+      std::shuffle(all.begin(), all.end(), rng);
+      const size_t k = 1 + rng() % std::min<size_t>(6, all.size());
+      std::vector<int> picks(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(k));
+      std::sort(picks.begin(), picks.end());
+      BeamScorer::NodeScore inc = scorer.ScoreIncremental(picks, &scratch);
+      BeamScorer::NodeScore full = scorer.ScoreFull(picks);
+      EXPECT_EQ(inc.data_changes, full.data_changes);
+      EXPECT_EQ(inc.data_changes, RepairCount(data.rel, index, data.sigma,
+                                              assignment, candidates, picks));
+      EXPECT_EQ(full.classes_rescored, static_cast<int64_t>(scorer.num_classes()));
+      // The rescored classes are exactly the union of the affected lists.
+      std::vector<uint32_t> uni;
+      for (int p : picks) {
+        const auto& list = affected[static_cast<size_t>(p)];
+        uni.insert(uni.end(), list.begin(), list.end());
+      }
+      std::sort(uni.begin(), uni.end());
+      uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
+      EXPECT_EQ(inc.classes_rescored, static_cast<int64_t>(uni.size()));
+    }
+  }
+}
+
+TEST(BeamScorerTest, EdgeCasesMatchRepairData) {
+  // Class x1: good ×3, bad1 ×2, bad2 ×1 under sense S (covers good).
+  // Class x2: a ×2, b ×1 — outside the ontology (kInvalidSense).
+  // Class x3: good ×2 — a single-value class.
+  // Class x4: p ×2, q ×1, hand-assigned to sense E, whose only ontology
+  //           value is not in the relation (no dictionary-present values).
+  // Class x5: r ×2 — puts 'r', the value E gains below, in the dictionary.
+  Relation rel(Schema({"X", "MED"}));
+  Ontology ont;
+  SenseId s = ont.AddSense("S");
+  ont.AddValue(s, "good");
+  SenseId e = ont.AddSense("E");
+  ont.AddValue(e, "absent");
+  for (const char* v : {"good", "good", "good", "bad1", "bad1", "bad2"}) {
+    rel.AppendRow({"x1", v});
+  }
+  for (const char* v : {"a", "a", "b"}) rel.AppendRow({"x2", v});
+  for (const char* v : {"good", "good"}) rel.AppendRow({"x3", v});
+  for (const char* v : {"p", "p", "q"}) rel.AppendRow({"x4", v});
+  for (const char* v : {"r", "r"}) rel.AppendRow({"x5", v});
+  SynonymIndex index(ont, rel.dict());
+  ASSERT_TRUE(index.SenseValues(e).empty());
+  SigmaSet sigma = {{AttrSet::Single(0), 1, OfdKind::kSynonym}};
+  SenseSelector selector(rel, index, sigma);
+  SenseAssignmentResult assignment = selector.Run();
+  const uint32_t x1 = ClassOfRow(assignment, 0);
+  const uint32_t x2 = ClassOfRow(assignment, 6);
+  const uint32_t x3 = ClassOfRow(assignment, 9);
+  const uint32_t x4 = ClassOfRow(assignment, 11);
+  ASSERT_EQ(assignment.senses[0][x1], s);
+  ASSERT_EQ(assignment.senses[0][x2], kInvalidSense);
+  assignment.senses[0][x4] = e;
+
+  auto id = [&](const char* v) { return rel.dict().Lookup(v); };
+  const std::vector<OntologyAddition> candidates = {
+      {s, id("good")},  // 0: already base-covered.
+      {s, id("bad1")},  // 1
+      {s, id("bad2")},  // 2
+      {e, id("r")},     // 3: E gains a value absent from x4.
+      {s, id("a")},     // 4: S is not x2's sense.
+  };
+  // Lists may name more classes than an insertion can affect; x4 is named
+  // through candidate 3 so its cost is re-costed.
+  const std::vector<std::vector<uint32_t>> affected = {
+      {x1, x3}, {x1}, {x1}, {x4}, {x2}};
+  BeamScorer scorer(rel, index, sigma, assignment);
+  scorer.SetCandidates(candidates, affected);
+  auto expect = [&](const std::vector<int>& picks, int64_t expected) {
+    SCOPED_TRACE(::testing::PrintToString(picks));
+    ExpectScores(scorer, rel, index, sigma, assignment, candidates, picks, expected);
+  };
+
+  // Level 0: x1 rewrites its 3 uncovered tuples; x2 keeps its majority (1
+  // change); x3 is single-valued; x4's sense has no values, so its
+  // majority survives (1 change); x5 is single-valued.
+  expect({}, 3 + 1 + 0 + 1 + 0);
+  // A pick already in the base changes nothing.
+  expect({0}, 5);
+  // One flip in x1 leaves bad2's one occurrence; two flips clear x1.
+  expect({1}, 1 + 1 + 1);
+  expect({1, 2}, 0 + 1 + 1);
+  expect({0, 1, 2}, 0 + 1 + 1);
+  // E gains 'r', absent from x4: x4's repair target becomes E's value, so
+  // all 3 of its tuples change (size − majority → size).
+  expect({3}, 3 + 1 + 3);
+  expect({1, 2, 3}, 0 + 1 + 3);
+  // A pick under another sense leaves the kInvalidSense class x2 alone.
+  expect({4}, 5);
 }
 
 // ---------------------------------------------------------------------------
